@@ -176,7 +176,11 @@ def _pow10_le(e: int, num: int, den: int) -> bool:
 
 def _magnitude(num: int, den: int) -> int:
     """The unique mag with 10**(mag-1) <= num/den < 10**mag (num, den > 0)."""
-    mag = len(str(num)) - len(str(den)) + 1
+    # 2**(b-1) < num/den < 2**(b+1) with b the bit-length difference, and
+    # 30103/100000 is log10(2) to 5 digits, so below ten million digits the
+    # estimate is off by at most one and the loops below make it exact. Bit
+    # lengths, unlike str(), have no digit limit.
+    mag = (num.bit_length() - den.bit_length()) * 30103 // 100000 + 1
     while not _lt_pow10(num, den, mag):
         mag += 1
     while not _pow10_le(mag - 1, num, den):

@@ -183,28 +183,51 @@ def hypergeom_variance(params: HypergeomParams) -> Fraction:
     return Fraction(n1 * n2 * (n3 - n1) * (n3 - n2), n3 * n3 * (n3 - 1))
 
 
+def _pmf_numerator(params: BinomialParams, r: int) -> int:
+    """C(trials, r) u^r (v-u)^(trials-r) for p = u/v, with r in [0, trials].
+
+    This is the pmf at r times v^trials: every value of one binomial law
+    shares that denominator, so callers work on these integers and build
+    one Fraction per result. At p = 0 and p = 1 the empty power 0**0 is 1.
+    """
+    u, v = params.p.numerator, params.p.denominator
+    return binomial(params.trials, r) * u**r * (v - u) ** (params.trials - r)
+
+
 def binomial_pmf(params: BinomialParams, r: int) -> Fraction:
     """C(trials, r) p^r (1-p)^(trials-r); zero outside [0, trials]."""
     if r < 0 or r > params.trials:
         return Fraction(0)
-    return binomial(params.trials, r) * params.p**r * (1 - params.p) ** (params.trials - r)
+    return Fraction(_pmf_numerator(params, r), params.p.denominator**params.trials)
 
 
 def binomial_convolve(a: BinomialParams, b: BinomialParams) -> PmfTable:
     """Exact pmf of the sum of two independent binomial draws.
 
-    Requires a common p; the result equals the single binomial with
-    trials = a.trials + b.trials pointwise.
+    Requires a common p = u/v; the result equals the single binomial with
+    trials = a.trials + b.trials pointwise. Both pmfs are taken as integer
+    numerators over v^a.trials and v^b.trials, so the value at k is
+
+        sum_j num_a(j) num_b(k - j) / v^(a.trials + b.trials),
+
+    summed on plain integers and reduced once per k. The double loop stays a
+    literal convolution on purpose: closure under convolution is an identity
+    the verify suite checks, and computing the result from the merged law
+    (or Vandermonde's identity) would make that check true by construction.
     """
     if a.p != b.p:
         raise MismatchedPError(f"common p required, got {a.p} and {b.p}")
+    num_a = [_pmf_numerator(a, j) for j in range(a.trials + 1)]
+    num_b = [_pmf_numerator(b, j) for j in range(b.trials + 1)]
+    denominator = a.p.denominator ** (a.trials + b.trials)
     entries = []
     for k in range(a.trials + b.trials + 1):
-        prob = sum(
-            (binomial_pmf(a, j) * binomial_pmf(b, k - j) for j in range(k + 1)),
-            Fraction(0),
+        # j and k - j outside the two supports contribute zero terms
+        total = sum(
+            num_a[j] * num_b[k - j]
+            for j in range(max(0, k - b.trials), min(k, a.trials) + 1)
         )
-        entries.append((k, prob))
+        entries.append((k, Fraction(total, denominator)))
     return PmfTable(tuple(entries))
 
 

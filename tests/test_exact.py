@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -222,3 +223,33 @@ def test_rational_to_decimal_roundtrip_accuracy(value, digits):
         return
     parsed = Fraction(rational_to_decimal(value, digits))
     assert abs(parsed - value) <= abs(value) * Fraction(10) ** (1 - digits)
+
+
+# References from the decimal module: exact operands, then one correctly
+# rounded division or square root at 15 digits, half-even.
+_EXACT = Context(prec=10_000, Emin=-999_999, Emax=999_999)
+_ROUNDED = Context(prec=15, rounding=ROUND_HALF_EVEN, Emin=-999_999, Emax=999_999)
+
+
+def test_rational_to_decimal_past_int_str_digit_limit():
+    # 5071 and 4533 digits, beyond the 4300-digit default limit of int-to-str
+    big, other = 7**6000 + 1, 3**9500
+    cases = [
+        (Fraction(big, other), _ROUNDED.divide(Decimal(big), Decimal(other))),
+        (Fraction(-other, big), -_ROUNDED.divide(Decimal(other), Decimal(big))),
+        (Fraction(1, other), _ROUNDED.divide(Decimal(1), Decimal(other))),
+    ]
+    for value, expected in cases:
+        assert Decimal(rational_to_decimal(value, 15)) == expected
+
+
+def test_sqrt_to_decimal_past_int_str_digit_limit():
+    odd = 3**9501  # 4534 digits, coprime to 10
+    cases = [
+        (1, Fraction(odd), Decimal(odd)),
+        (-1, Fraction(odd, 10**4400), Decimal(odd).scaleb(-4400, _EXACT)),
+        (1, Fraction(odd, 10**9200), Decimal(odd).scaleb(-9200, _EXACT)),
+    ]
+    for sign, radicand, exact_radicand in cases:
+        rendered = sqrt_to_decimal(SignedSqrtRational(sign, radicand), 15)
+        assert Decimal(rendered) == sign * exact_radicand.sqrt(_ROUNDED)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -236,6 +237,35 @@ class TestConvolution:
     def test_mismatched_p_rejected(self):
         with pytest.raises(MismatchedPError):
             binomial_convolve(BinomialParams(2, HALF), BinomialParams(2, THIRD))
+
+
+class TestBinomialAgainstReference:
+    """binomial_pmf and binomial_convolve against math.comb over Fraction."""
+
+    PS = (Fraction(0), Fraction(1), HALF, THIRD, Fraction(3, 10), Fraction(2, 7))
+
+    @staticmethod
+    def reference(trials, p, r):
+        return math.comb(trials, r) * p**r * (1 - p) ** (trials - r)
+
+    def test_pmf(self):
+        for p in self.PS:
+            for trials in range(41):
+                params = BinomialParams(trials, p)
+                for r in range(trials + 1):
+                    assert binomial_pmf(params, r) == self.reference(trials, p, r)
+                assert binomial_pmf(params, -1) == 0
+                assert binomial_pmf(params, trials + 1) == 0
+
+    def test_convolve(self):
+        pairs = ((0, 0), (0, 5), (1, 1), (3, 7), (13, 2), (40, 0), (40, 1), (9, 40), (40, 12))
+        for p in self.PS:
+            for trials1, trials2 in pairs:
+                table = binomial_convolve(BinomialParams(trials1, p), BinomialParams(trials2, p))
+                total = trials1 + trials2
+                assert table.entries == tuple(
+                    (k, self.reference(total, p, k)) for k in range(total + 1)
+                )
 
 
 class TestConditionalProbability:
