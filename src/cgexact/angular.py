@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import SignedSqrtRational, binomial, factorial
-from .hypseries import SeriesParams3F2, eval_3f2_unit
+from .hypseries import _terminating_sum
 
 __all__ = [
     "CgLabels",
@@ -31,6 +31,7 @@ __all__ = [
     "cg_to_3jm",
     "delta_abc",
     "racah_zsum_terms",
+    "selection_rule_violation",
     "selection_rules_satisfied",
 ]
 
@@ -181,14 +182,25 @@ class ProductStateVector:
         return sum((v.radicand for v in self.entries.values()), Fraction(0))
 
 
-def selection_rules_satisfied(labels: CgLabels) -> bool:
-    """gamma = alpha + beta, the triangle rule, and integral a + b + c."""
+def selection_rule_violation(labels: CgLabels) -> str | None:
+    """The first selection rule the labels break, described; None if all hold.
+
+    The rules, in order: gamma = alpha + beta, the triangle rule on
+    (a, b, c), and integral a + b + c.
+    """
     if labels.gamma.twice != labels.alpha.twice + labels.beta.twice:
-        return False
+        return "selection rule: gamma != alpha+beta"
     ta, tb, tc = labels.a.twice, labels.b.twice, labels.c.twice
     if not abs(ta - tb) <= tc <= ta + tb:
-        return False
-    return (ta + tb + tc) % 2 == 0
+        return "selection rule: triangle(a, b, c) violated"
+    if (ta + tb + tc) % 2:
+        return "selection rule: a+b+c is not an integer"
+    return None
+
+
+def selection_rules_satisfied(labels: CgLabels) -> bool:
+    """gamma = alpha + beta, the triangle rule, and integral a + b + c."""
+    return selection_rule_violation(labels) is None
 
 
 def racah_zsum_terms(labels: CgLabels) -> list[tuple[int, int]]:
@@ -250,38 +262,21 @@ def delta_abc(a: HalfInt, b: HalfInt, c: HalfInt) -> SignedSqrtRational:
     return SignedSqrtRational(1, radicand)
 
 
-def _regularized_3f2_sum(p: int, am: int, bp: int, b1: int, b2: int) -> Fraction:
-    """Sum over k of (-p)_k (-am)_k (-bp)_k / (k! (b1+k-1)! (b2+k-1)!).
-
-    This is the series of the 3F2 route with the two lower-parameter
-    factorials absorbed; reciprocal factorials of negative integers vanish,
-    so the sum starts past any lower-parameter zero. For b1, b2 >= 1 it
-    equals the literal series divided by (b1-1)!(b2-1)!.
-    """
-    cutoff = min(p, am, bp)
-    total = Fraction(0)
-    for k in range(max(0, 1 - b1, 1 - b2), cutoff + 1):
-        num = (
-            (factorial(p) // factorial(p - k))
-            * (factorial(am) // factorial(am - k))
-            * (factorial(bp) // factorial(bp - k))
-        )
-        den = factorial(k) * factorial(b1 + k - 1) * factorial(b2 + k - 1)
-        term = Fraction(num, den)
-        total += -term if k % 2 else term
-    return total
-
-
 def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
     """Clebsch-Gordan coefficient via the 3F2-at-unit-argument route.
 
     The series has uppers (-(a+b-c), -(a-alpha), -(b+beta)) and lowers
-    (c-a-beta+1, c-b+alpha+1). When both lowers are positive the literal
-    terminating series is evaluated; when a lower is a nonpositive integer
-    the literal series is singular and the coefficient is assembled in the
-    regularized form instead (same formula, reciprocal factorials of
-    negative integers read as zero). Both branches agree with cg_racah
-    exactly on every input.
+    b1 = c-a-beta+1, b2 = c-b+alpha+1. It is summed in regularized form,
+
+        S = sum_k (-p)_k (-am)_k (-bp)_k / (k! (b1+k-1)! (b2+k-1)!),
+
+    with p = a+b-c, am = a-alpha, bp = b+beta, reading reciprocal factorials
+    of negative integers as zero: the sum starts at k0 = max(0, 1-b1, 1-b2)
+    and runs to min(p, am, bp). When b1, b2 >= 1 this is the literal
+    3F2 / ((b1-1)! (b2-1)!); when a lower parameter is a nonpositive integer
+    the literal series is singular and only this form exists. Either way the
+    coefficient is S / p! times sqrt(Delta^2 * bracket), and it agrees with
+    cg_racah exactly on every input.
     """
     if not selection_rules_satisfied(labels):
         return SignedSqrtRational.zero()
@@ -294,10 +289,6 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
     bm = (tb - tbe) // 2  # b-beta
     b1 = (tc - ta - tbe) // 2 + 1  # -a+c-beta+1
     b2 = (tc - tb + tal) // 2 + 1  # -b+c+alpha+1
-    delta2 = Fraction(
-        factorial(p) * factorial((ta - tb + tc) // 2) * factorial((tb + tc - ta) // 2),
-        factorial((ta + tb + tc) // 2 + 1),
-    )
     bracket = Fraction(
         factorial(ap)
         * factorial(bm)
@@ -306,11 +297,19 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
         * (tc + 1),
         factorial(am) * factorial(bp),
     )
-    if b1 >= 1 and b2 >= 1:
-        series = eval_3f2_unit(SeriesParams3F2((-p, -am, -bp), (b1, b2)))
-        coeff = series / (factorial(p) * factorial(b1 - 1) * factorial(b2 - 1))
-    else:
-        coeff = _regularized_3f2_sum(p, am, bp, b1, b2) / factorial(p)
+    # The selection rules put k0 at or below the cutoff min(p, am, bp).
+    k0 = max(0, 1 - b1, 1 - b2)
+    first_num = (
+        (factorial(p) // factorial(p - k0))
+        * (factorial(am) // factorial(am - k0))
+        * (factorial(bp) // factorial(bp - k0))
+    )
+    first_den = factorial(k0) * factorial(b1 + k0 - 1) * factorial(b2 + k0 - 1) * factorial(p)
+    coeff = _terminating_sum(
+        (-p, -am, -bp), (b1, b2), 1, k0, min(p, am, bp),
+        -first_num if k0 % 2 else first_num, first_den,
+    )
+    delta2 = delta_abc(labels.a, labels.b, labels.c).radicand
     return SignedSqrtRational.from_scaled_sqrt(coeff, delta2 * bracket)
 
 

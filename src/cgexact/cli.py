@@ -24,6 +24,7 @@ from .angular import (
     cg_ladder_stretched,
     cg_racah,
     cg_to_3jm,
+    selection_rule_violation,
 )
 from .exact import SignedSqrtRational, rational_to_decimal, sqrt_to_decimal
 from .prob import (
@@ -77,7 +78,15 @@ def _echo(argv: list[str]) -> str:
 
 
 def _fraction_json(q: Fraction) -> dict:
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+    # Exact pmfs and radicands can run past Python's int-to-str digit limit
+    # (4300 by default); it is lifted for this rendering only, so library
+    # callers keep it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return {"num": str(q.numerator), "den": str(q.denominator)}
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _sqrt_exact(value: SignedSqrtRational) -> dict:
@@ -126,14 +135,7 @@ def _pretty_exact(exact: dict | None) -> str:
 
 
 def _zero_detail(labels: CgLabels) -> str:
-    if labels.gamma.twice != labels.alpha.twice + labels.beta.twice:
-        return "selection rule: gamma != alpha+beta"
-    ta, tb, tc = labels.a.twice, labels.b.twice, labels.c.twice
-    if not abs(ta - tb) <= tc <= ta + tb:
-        return "selection rule: triangle(a, b, c) violated"
-    if (ta + tb + tc) % 2:
-        return "selection rule: a+b+c is not an integer"
-    return "coefficient vanishes: alternating sum is zero"
+    return selection_rule_violation(labels) or "coefficient vanishes: alternating sum is zero"
 
 
 def _labels_from_args(args: argparse.Namespace) -> CgLabels:

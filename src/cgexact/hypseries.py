@@ -3,10 +3,15 @@
 3F2 at unit argument and 2F1 at arbitrary rational argument. A series is
 admissible only when some upper parameter is a nonpositive integer (so the
 sum is finite) and no lower-parameter Pochhammer vanishes before that cutoff.
+
+Both evaluators, and the regularized 3F2 sum of `angular.cg_3f2`, run on one
+kernel, `_terminating_sum`: Horner form on a plain integer numerator and
+denominator, reduced once into a single `Fraction` at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -80,33 +85,56 @@ def _check_poles(lower: tuple[Fraction, ...], cutoff: int) -> None:
             )
 
 
+def _terminating_sum(
+    upper, lower, argument, start: int, cutoff: int, first_num: int, first_den: int
+) -> Fraction:
+    """Sum of t_k over start <= k <= cutoff, with t_start = first_num/first_den
+    and t_k / t_(k-1) = argument * prod(a + k - 1) / (k * prod(b + k - 1)).
+
+    Parameters and argument are ints or Fractions; a lower factor b + k - 1
+    must not vanish for start < k <= cutoff, and start <= cutoff. With the
+    argument written zn/zd and each parameter p/q, the ratio at k is
+    N(k)/D(k) for the integers
+
+        N(k) = zn * prod_b qb * prod_a (pa + qa (k-1))
+        D(k) = zd * prod_a qa * k * prod_b (pb + qb (k-1)),
+
+    so the sum is t_start * (1 + r(start+1) (1 + r(start+2) (... (1 + r(cutoff))))),
+    r = N/D, accumulated on integers from the innermost bracket out.
+    """
+    scale_num = argument.numerator * math.prod(b.denominator for b in lower)
+    scale_den = argument.denominator * math.prod(a.denominator for a in upper)
+    ups = [(a.numerator, a.denominator) for a in upper]
+    lows = [(b.numerator, b.denominator) for b in lower]
+    num = den = 1
+    for k in range(cutoff, start, -1):
+        m = k - 1
+        n = scale_num
+        for p, q in ups:
+            n *= p + q * m
+        d = scale_den * k
+        for p, q in lows:
+            d *= p + q * m
+        den *= d
+        num = den + n * num
+    return Fraction(first_num * num, first_den * den)
+
+
 def eval_3f2_unit(params: SeriesParams3F2) -> Fraction:
     """Exact sum of the terminating 3F2 series at unit argument.
 
-    Each term is the previous one times a single rational ratio, so the whole
-    sum costs O(cutoff) big-rational multiplications. A zero upper parameter
-    gives cutoff 0 and value 1 immediately.
+    Sums on integers from the last term back to the first (see
+    `_terminating_sum`), so the cost is O(cutoff) small-by-big integer
+    products and one reduction. A zero upper parameter gives cutoff 0 and
+    value 1 immediately.
     """
-    a1, a2, a3 = params.upper
-    b1, b2 = params.lower
     cutoff = _termination_index(params.upper)
     _check_poles(params.lower, cutoff)
-    total = term = Fraction(1)
-    for k in range(1, cutoff + 1):
-        term *= (a1 + k - 1) * (a2 + k - 1) * (a3 + k - 1) / ((b1 + k - 1) * (b2 + k - 1) * k)
-        total += term
-    return total
+    return _terminating_sum(params.upper, params.lower, 1, 0, cutoff, 1, 1)
 
 
 def eval_2f1(params: SeriesParams2F1) -> Fraction:
     """Exact sum of the terminating 2F1 series at a rational argument."""
-    a1, a2 = params.upper
-    b1 = params.lower
-    z = params.argument
     cutoff = _termination_index(params.upper)
-    _check_poles((b1,), cutoff)
-    total = term = Fraction(1)
-    for k in range(1, cutoff + 1):
-        term *= (a1 + k - 1) * (a2 + k - 1) * z / ((b1 + k - 1) * k)
-        total += term
-    return total
+    _check_poles((params.lower,), cutoff)
+    return _terminating_sum(params.upper, (params.lower,), params.argument, 0, cutoff, 1, 1)

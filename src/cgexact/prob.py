@@ -9,6 +9,7 @@ the exact pmf, never a parallel implementation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -107,7 +108,10 @@ class PmfTable:
         object.__setattr__(self, "entries", entries)
         if any(q < 0 for _, q in entries):
             raise ValueError("probabilities must be nonnegative")
-        if sum((q for _, q in entries), Fraction(0)) != 1:
+        # summed on integers over the common denominator, not as Fractions
+        # that reduce after every addition
+        common = math.lcm(*(q.denominator for _, q in entries))
+        if sum(q.numerator * (common // q.denominator) for _, q in entries) != common:
             raise ValueError("probabilities must sum to 1 exactly")
         outcomes = [x for x, _ in entries]
         if any(x >= y for x, y in zip(outcomes, outcomes[1:])):

@@ -22,6 +22,7 @@ from cgexact.angular import (
     cg_to_3jm,
     delta_abc,
     racah_zsum_terms,
+    selection_rule_violation,
     selection_rules_satisfied,
 )
 from cgexact.exact import SignedSqrtRational, binomial, factorial, sqrt_to_decimal
@@ -358,3 +359,80 @@ def test_degenerate_binomial_ratio_identity_small():
                         binomial(l1, k1) * binomial(l2, k2), binomial(l1 + l2, k1 + k2)
                     )
                     assert value.radicand == expected
+
+
+def test_selection_rule_violation_names_the_first_broken_rule():
+    cases = (
+        ((1, 1, 1, -1, 2, 0), None),
+        ((2, 0, 2, 0, 2, 0), None),
+        ((1, 1, 1, 1, 2, 0), "selection rule: gamma != alpha+beta"),
+        ((2, 0, 2, 0, 6, 0), "selection rule: triangle(a, b, c) violated"),
+        ((1, 1, 1, -1, 1, 1), "selection rule: gamma != alpha+beta"),
+    )
+    for twice, expected in cases:
+        labels = CgLabels.from_twice(*twice)
+        assert selection_rule_violation(labels) == expected
+        assert selection_rules_satisfied(labels) == (expected is None)
+
+
+def _all_labels(max_twice_ab: int):
+    """Every label set with 2a, 2b <= max_twice_ab that meets the selection rules."""
+    for ta in range(max_twice_ab + 1):
+        for tb in range(max_twice_ab + 1):
+            for tc in range(abs(ta - tb), ta + tb + 1, 2):
+                for tal in range(-ta, ta + 1, 2):
+                    for tbe in range(-tb, tb + 1, 2):
+                        if abs(tal + tbe) <= tc:
+                            yield CgLabels.from_twice(ta, tal, tb, tbe, tc, tal + tbe)
+
+
+def test_racah_and_3f2_match_sympy_wigner():
+    # an oracle from outside this package, compared on sign and square
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import clebsch_gordan
+
+    labels_seen = 0
+    for labels in _all_labels(4):
+        halves = [
+            sympy.Rational(j.twice, 2)
+            for j in (labels.a, labels.b, labels.c, labels.alpha, labels.beta, labels.gamma)
+        ]
+        expected = clebsch_gordan(*halves)
+        sign = int(sympy.sign(expected))
+        square = sympy.Rational(expected**2)
+        for value in (cg_racah(labels), cg_3f2(labels)):
+            assert value.sign == sign
+            assert sympy.Rational(value.radicand.numerator, value.radicand.denominator) == square
+        labels_seen += 1
+    assert labels_seen == 517
+
+
+def _lower_parameters(labels: CgLabels) -> tuple[int, int]:
+    """b1 = c-a-beta+1 and b2 = c-b+alpha+1 of the 3F2 route."""
+    ta, tb, tc = labels.a.twice, labels.b.twice, labels.c.twice
+    return (tc - ta - labels.beta.twice) // 2 + 1, (tc - tb + labels.alpha.twice) // 2 + 1
+
+
+def test_racah_and_3f2_agree_at_large_j():
+    # past the verify sweep (2a, 2b <= 5): both 3F2 lower-parameter regimes,
+    # integer and half-integer momenta, 2j from 100 to 400
+    label_sets = [
+        (200, 10, 200, -4, 100, 6),
+        (400, 0, 398, 2, 400, 2),
+        (301, 51, 299, -47, 200, 4),
+        (399, 3, 101, -1, 300, 2),
+        (100, -36, 60, 12, 60, -24),
+        (150, 20, 130, -30, 240, -10),
+        (120, -40, 180, 60, 280, 20),
+        (200, 100, 200, -100, 398, 0),
+        (101, 7, 99, -5, 110, 2),
+    ]
+    regimes = set()
+    for twice in label_sets:
+        labels = CgLabels.from_twice(*twice)
+        assert selection_rules_satisfied(labels)
+        value = cg_3f2(labels)
+        assert not value.is_zero
+        assert value == cg_racah(labels)
+        regimes.add(min(_lower_parameters(labels)) >= 1)
+    assert regimes == {True, False}

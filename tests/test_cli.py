@@ -4,6 +4,7 @@ and round-tripping."""
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from cgexact import angular
 from cgexact.cli import main
 from cgexact.exact import SignedSqrtRational, sqrt_to_decimal
+from cgexact.prob import HypergeomParams, hypergeom_pmf
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -183,6 +185,47 @@ class TestDistCommand:
         assert code == 2
         assert record["status"] == "error"
 
+
+
+class TestValuesPastIntStrLimit:
+    """Exact values with more than 4300 digits, Python's default cap on
+    int-to-str conversion, render in both formats; the cap itself is left as
+    it was for library callers."""
+
+    ARGV = ("dist", "hypergeom-pmf", "--n1", "18126", "--n2", "7541", "--n3", "33648", "--x", "4059")
+
+    @staticmethod
+    def expected() -> Fraction:
+        return hypergeom_pmf(HypergeomParams(18126, 7541, 33648), 4059)
+
+    @staticmethod
+    def parse_big(num: str, den: str) -> Fraction:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return Fraction(int(num), int(den))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_json(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, record, _ = run_json(capsys, *self.ARGV)
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0
+        assert record["status"] == "ok"
+        assert record["decimal"] == "0.0104224925629355"
+        exact = record["exact"]["rational"]
+        assert len(exact["num"]) > 4300
+        assert self.parse_big(exact["num"], exact["den"]) == self.expected()
+
+    def test_text(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out = run_cli(capsys, *self.ARGV)
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0
+        pretty, decimal = out.strip().split(" = ")
+        assert decimal == "0.0104224925629355"
+        assert self.parse_big(*pretty.split("/")) == self.expected()
 
 class TestLimitCommand:
     def test_anchor(self, capsys):

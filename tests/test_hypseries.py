@@ -17,6 +17,7 @@ from cgexact.hypseries import (
     PoleBeforeTerminationError,
     SeriesParams2F1,
     SeriesParams3F2,
+    _terminating_sum,
     eval_2f1,
     eval_3f2_unit,
 )
@@ -148,3 +149,27 @@ def test_params_shape_validation():
         SeriesParams3F2((1, 2), (3, 4))
     with pytest.raises(ValueError):
         SeriesParams2F1((1, 2, 3), 4, 1)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 9, 23, 40])
+def test_series_against_brute_force_up_to_cutoff_40(cutoff):
+    # half-integer and third-integer parameters scale to integer numerators
+    # by their denominators; the 2F1 runs at negative arguments
+    upper3 = (-cutoff, Fraction(1, 2), Fraction(-7, 2))
+    lower3 = (Fraction(3, 2), Fraction(-5, 3))
+    assert eval_3f2_unit(SeriesParams3F2(upper3, lower3)) == brute_sum(upper3, lower3)
+    upper2 = (-cutoff, Fraction(-5, 2))
+    for lower2, z in ((Fraction(1, 2), Fraction(-3, 7)), (Fraction(7, 2), -2)):
+        params = SeriesParams2F1(upper2, lower2, z)
+        assert eval_2f1(params) == brute_sum(upper2, (lower2,), z)
+
+
+def test_kernel_from_a_later_first_term():
+    # summing from k0 > 0 with t_k0 given: the tail of the brute-force series
+    upper, lower, z = (-17, Fraction(3, 2), 4), (Fraction(5, 2), 3), Fraction(-2, 5)
+    for start in (0, 1, 4, 16, 17):
+        first = brute_term(upper, lower, z, start)
+        tail = sum((brute_term(upper, lower, z, k) for k in range(start, 18)), Fraction(0))
+        assert _terminating_sum(
+            upper, lower, z, start, 17, first.numerator, first.denominator
+        ) == tail

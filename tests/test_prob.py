@@ -70,6 +70,28 @@ class TestPmfTable:
         assert table.probability(5) == 0
 
 
+
+def test_pmf_table_sum_check_over_mixed_denominators():
+    # the exact sum-to-1 check sees every denominator, however large
+    accepted = (
+        ((0, Fraction(1, 3)), (1, Fraction(1, 6)), (2, Fraction(1, 2))),
+        ((0, "2/7"), (3, Fraction(5, 7))),
+        ((4, 1),),
+        ((0, 0), (1, Fraction(10**40 - 1, 10**40)), (2, Fraction(1, 10**40))),
+    )
+    for entries in accepted:
+        table = PmfTable(entries)
+        assert sum(q for _, q in table.entries) == 1
+    rejected = (
+        (),
+        ((0, Fraction(1, 3)), (1, Fraction(1, 6)), (2, Fraction(1, 2) + Fraction(1, 10**40))),
+        ((0, Fraction(10**40 - 1, 10**40)),),
+        ((0, Fraction(2, 3)), (1, Fraction(2, 3))),
+    )
+    for entries in rejected:
+        with pytest.raises(ValueError, match="probabilities must sum to 1 exactly"):
+            PmfTable(entries)
+
 class TestHypergeomPmf:
     def test_examples(self):
         assert hypergeom_pmf(HypergeomParams(1, 1, 2), 0) == HALF
