@@ -8,7 +8,8 @@ coefficient is a SignedSqrtRational, so agreement checks are exact.
 
 from __future__ import annotations
 
-import math
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ __all__ = [
     "TriangleViolationError",
     "cg_3f2",
     "cg_degenerate_squared",
+    "cg_ladder_rows",
     "cg_ladder_stretched",
     "cg_racah",
     "cg_to_3jm",
@@ -327,12 +329,58 @@ def _lowering_factor(tj: int, tm: int) -> int:
     return ((tj + tm) // 2) * ((tj - tm) // 2 + 1)
 
 
-def _exact_sqrt(q: Fraction) -> Fraction:
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        raise ArithmeticError(f"{q} is not a perfect rational square")
-    return Fraction(num, den)
+def _check_spins(a: HalfInt, b: HalfInt) -> None:
+    if a.twice < 0 or b.twice < 0:
+        raise InvalidLabelsError(f"momenta must be nonnegative, got {a}, {b}")
+
+
+def _lowering_states(ta: int, tb: int) -> Iterator[dict[tuple[int, int], tuple[int, int]]]:
+    """Unnormalised lowering states of |a a> (x) |b b>, depth 0 to 2a+2b.
+
+    Each state maps (2m1, 2m2) to (count, radical): the amplitude is
+    count * sqrt(radical). A lowering step multiplies the radical by the
+    spin's `_lowering_factor`, and every path into a key drops each spin by
+    the same amount, so every path carries the same radical. Merging two
+    paths therefore adds their counts, and the shared radical is checked
+    exactly on every merge.
+    """
+    state = {(ta, tb): (1, 1)}
+    yield state
+    for _ in range(ta + tb):
+        lowered: dict[tuple[int, int], tuple[int, int]] = {}
+        for (t1, t2), (count, radical) in state.items():
+            moves = (
+                ((t1 - 2, t2), _lowering_factor(ta, t1)),
+                ((t1, t2 - 2), _lowering_factor(tb, t2)),
+            )
+            for key, factor in moves:
+                if factor == 0:
+                    continue
+                new_radical = radical * factor
+                merged = lowered.get(key)
+                if merged is None:
+                    lowered[key] = (count, new_radical)
+                    continue
+                count0, radical0 = merged
+                if new_radical != radical0:
+                    raise ArithmeticError(
+                        f"lowering paths into {key} carry radicals {radical0} and {new_radical}"
+                    )
+                lowered[key] = (count0 + count, radical0)
+        state = lowered
+        yield state
+
+
+def _normalised(state: dict[tuple[int, int], tuple[int, int]]) -> ProductStateVector:
+    """The state scaled to unit norm; counts are positive, so every sign is +1."""
+    squares = {key: count * count * radical for key, (count, radical) in state.items()}
+    norm2 = sum(squares.values())
+    return ProductStateVector(
+        {
+            (HalfInt(t1), HalfInt(t2)): SignedSqrtRational(1, Fraction(square, norm2))
+            for (t1, t2), square in squares.items()
+        }
+    )
 
 
 def cg_ladder_stretched(a: HalfInt, b: HalfInt, steps: int) -> ProductStateVector:
@@ -343,40 +391,21 @@ def cg_ladder_stretched(a: HalfInt, b: HalfInt, steps: int) -> ProductStateVecto
     the coefficients <a m1; b m2 | c gamma> at c = a+b, gamma = a+b-steps.
     Fully independent of both series backends.
     """
-    if a.twice < 0 or b.twice < 0:
-        raise InvalidLabelsError(f"momenta must be nonnegative, got {a}, {b}")
+    _check_spins(a, b)
     if not 0 <= steps <= a.twice + b.twice:
         raise StepsOutOfRangeError(f"steps must lie in [0, {a.twice + b.twice}], got {steps}")
-    # Each amplitude is coeff * sqrt(radical). Every lowering path into a
-    # given key accumulates the same radical (the per-spin factors depend
-    # only on how far each spin has dropped), so merging two contributions
-    # is a rational coefficient update.
-    state: dict[tuple[int, int], tuple[Fraction, Fraction]] = {
-        (a.twice, b.twice): (Fraction(1), Fraction(1))
-    }
-    for _ in range(steps):
-        lowered: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
-        for (t1, t2), (coeff, radical) in state.items():
-            moves = (
-                ((t1 - 2, t2), _lowering_factor(a.twice, t1)),
-                ((t1, t2 - 2), _lowering_factor(b.twice, t2)),
-            )
-            for key, factor in moves:
-                if factor == 0:
-                    continue
-                new_radical = radical * factor
-                if key in lowered:
-                    c0, r0 = lowered[key]
-                    lowered[key] = (c0 + coeff * _exact_sqrt(new_radical / r0), r0)
-                else:
-                    lowered[key] = (coeff, new_radical)
-        state = lowered
-    norm2 = sum((c * c * r for c, r in state.values()), Fraction(0))
-    entries = {
-        (HalfInt(t1), HalfInt(t2)): SignedSqrtRational.from_scaled_sqrt(coeff, radical / norm2)
-        for (t1, t2), (coeff, radical) in state.items()
-    }
-    return ProductStateVector(entries)
+    states = _lowering_states(a.twice, b.twice)
+    return _normalised(next(itertools.islice(states, steps, None)))
+
+
+def cg_ladder_rows(a: HalfInt, b: HalfInt) -> Iterator[ProductStateVector]:
+    """Every row of the ladder from one lowering pass.
+
+    Yields cg_ladder_stretched(a, b, steps) for steps = 0, 1, ..., 2a+2b in
+    order, lowering once per row instead of once per row and call.
+    """
+    _check_spins(a, b)
+    return (_normalised(state) for state in _lowering_states(a.twice, b.twice))
 
 
 def cg_to_3jm(labels: CgLabels, cg: SignedSqrtRational) -> SignedSqrtRational:

@@ -24,8 +24,11 @@ __all__ = [
 # Factorials of the same small arguments recur across every coefficient
 # evaluation, so they live in a shared append-only table. Readers index a
 # stable prefix without locking; growth is single-writer under the lock.
+# The table stops at _FACT_MAX_CACHED! (about 0.6 MB in all); larger
+# arguments go to math.factorial, so one huge request cannot pin memory.
 _FACT_LOCK = threading.Lock()
 _FACT = [1]
+_FACT_MAX_CACHED = 1024
 
 # Above this row size the multiplicative stdlib routine wins and the table
 # would grow into huge-integer territory for no benefit.
@@ -33,10 +36,12 @@ _BINOMIAL_CACHE_LIMIT = 512
 
 
 def factorial(n: int) -> int:
-    """n! as an exact integer; every value up to the largest n seen is cached."""
+    """n! as an exact integer; values up to _FACT_MAX_CACHED are cached."""
     if n < 0:
         raise ValueError(f"factorial of negative argument {n}")
     if n >= len(_FACT):
+        if n > _FACT_MAX_CACHED:
+            return math.factorial(n)
         with _FACT_LOCK:
             acc = _FACT[-1]
             for i in range(len(_FACT), n + 1):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, Overflow, localcontext
 from fractions import Fraction
 
 from .angular import DegenerateLabels
@@ -154,6 +154,7 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
     """M(t) = sum_x pmf(x) e^(t x) to `digits` significant digits.
 
     The pmf is exact; only e^(tx) is numeric. Equals G(e^t) by construction.
+    Raises OverflowError when some e^(tx) exceeds the largest decimal.
     """
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
@@ -163,12 +164,18 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
             f"generating function needs n3 - n1 - n2 + 1 >= 1, got {lower}"
         )
     t_dec = t if isinstance(t, Decimal) else Decimal(str(t))
-    with localcontext(Context(prec=digits + 10)):
+    with localcontext(Context(prec=digits + 10)) as ctx:
         total = Decimal(0)
         for x in params.support():
             q = hypergeom_pmf(params, x)
             weight = Decimal(q.numerator) / Decimal(q.denominator)
-            total += weight * (t_dec * x).exp()
+            try:
+                total += weight * (t_dec * x).exp()
+            except Overflow:
+                raise OverflowError(
+                    f"mgf overflows at {digits} digits: e^(t*x) at t = {t_dec}, x = {x} "
+                    f"exceeds the largest decimal (exponent {ctx.Emax})"
+                ) from None
     return Context(prec=digits).plus(total)
 
 

@@ -129,8 +129,7 @@ def run_degenerate_identity(max_l: int) -> SuiteReport:
     for l1 in range(max_l + 1):
         for l2 in range(max_l + 1):
             spin1, spin2 = HalfInt(l1), HalfInt(l2)
-            for steps in range(l1 + l2 + 1):
-                vector = angular.cg_ladder_stretched(spin1, spin2, steps)
+            for steps, vector in enumerate(angular.cg_ladder_rows(spin1, spin2)):
                 for k1 in range(max(0, steps - l2), min(l1, steps) + 1):
                     k2 = steps - k1
                     labels = DegenerateLabels(l1, k1, l2, k2)

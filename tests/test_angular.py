@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import pytest
 
+from cgexact import angular
 from cgexact.angular import (
     CgLabels,
     DegenerateLabels,
@@ -17,6 +19,7 @@ from cgexact.angular import (
     TriangleViolationError,
     cg_3f2,
     cg_degenerate_squared,
+    cg_ladder_rows,
     cg_ladder_stretched,
     cg_racah,
     cg_to_3jm,
@@ -267,6 +270,31 @@ class TestLadder:
                 for steps in range(ta + tb + 1):
                     assert cg_ladder_stretched(HalfInt(ta), HalfInt(tb), steps).norm_squared() == 1
 
+    def test_rows_equal_single_rows(self):
+        for ta in range(13):
+            for tb in range(13):
+                rows = list(cg_ladder_rows(HalfInt(ta), HalfInt(tb)))
+                assert len(rows) == ta + tb + 1
+                for steps, row in enumerate(rows):
+                    assert row == cg_ladder_stretched(HalfInt(ta), HalfInt(tb), steps)
+
+    def test_rows_reject_negative_spins(self):
+        # raised at the call, before any row is drawn
+        with pytest.raises(InvalidLabelsError):
+            cg_ladder_rows(HalfInt(-1), HalfInt(1))
+        with pytest.raises(InvalidLabelsError):
+            cg_ladder_rows(HalfInt(2), HalfInt(-2))
+        with pytest.raises(InvalidLabelsError):
+            cg_ladder_stretched(HalfInt(-1), HalfInt(1), 0)
+
+    def test_merge_checks_the_shared_radical(self, monkeypatch):
+        # a lowering factor that changes from call to call gives two paths
+        # into the same key different radicals; the merge must refuse them
+        factors = itertools.count(1)
+        monkeypatch.setattr(angular, "_lowering_factor", lambda tj, tm: next(factors))
+        with pytest.raises(ArithmeticError):
+            cg_ladder_stretched(HalfInt(1), HalfInt(1), 2)
+
 
 class TestCgTo3jm:
     def test_zero_passes_through(self):
@@ -405,6 +433,32 @@ def test_racah_and_3f2_match_sympy_wigner():
             assert sympy.Rational(value.radicand.numerator, value.radicand.denominator) == square
         labels_seen += 1
     assert labels_seen == 517
+
+
+def test_ladder_matches_sympy_wigner():
+    # every stretched amplitude with 2a, 2b <= 6, on sign and square
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import clebsch_gordan
+
+    amplitudes_seen = 0
+    for ta in range(7):
+        for tb in range(7):
+            tc = ta + tb
+            for steps, row in enumerate(cg_ladder_rows(HalfInt(ta), HalfInt(tb))):
+                for tal in range(-ta, ta + 1, 2):
+                    tbe = tc - 2 * steps - tal
+                    if abs(tbe) > tb:
+                        continue
+                    expected = clebsch_gordan(
+                        *(sympy.Rational(t, 2) for t in (ta, tb, tc, tal, tbe, tal + tbe))
+                    )
+                    value = row.amplitude(HalfInt(tal), HalfInt(tbe))
+                    assert value.sign == int(sympy.sign(expected))
+                    assert sympy.Rational(
+                        value.radicand.numerator, value.radicand.denominator
+                    ) == sympy.Rational(expected**2)
+                    amplitudes_seen += 1
+    assert amplitudes_seen == sum((ta + 1) * (tb + 1) for ta in range(7) for tb in range(7))
 
 
 def _lower_parameters(labels: CgLabels) -> tuple[int, int]:

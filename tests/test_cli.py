@@ -227,6 +227,31 @@ class TestValuesPastIntStrLimit:
         assert decimal == "0.0104224925629355"
         assert self.parse_big(*pretty.split("/")) == self.expected()
 
+class TestMgfOverflow:
+    """e^(t x) past the largest decimal is a usage error with a message
+    that names the cause, in both formats."""
+
+    ARGV = ("dist", "mgf", "--n1", "3", "--n2", "2", "--n3", "10", "--t", "1e400000")
+
+    def test_json(self, capsys):
+        code = main([*self.ARGV, "--format", "json"])
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert code == 2
+        assert record["status"] == "error"
+        assert "e^(t*x)" in record["detail"] and "overflows" in record["detail"]
+        assert "<class" not in record["detail"]
+        assert record["detail"] in captured.err
+
+    def test_text(self, capsys):
+        code = main(list(self.ARGV))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "e^(t*x)" in captured.out and "overflows" in captured.out
+        assert "<class" not in captured.out + captured.err
+        assert "overflows" in captured.err
+
+
 class TestLimitCommand:
     def test_anchor(self, capsys):
         code, records, _ = run_json(

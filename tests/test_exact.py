@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgexact import exact
 from cgexact.exact import (
     SignedSqrtRational,
     binomial,
@@ -43,6 +44,13 @@ def test_factorial_cache_concurrent_growth():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(factorial, args))
     assert results == [math.factorial(n) for n in args]
+
+
+def test_factorial_past_the_cache_bound():
+    factorial(exact._FACT_MAX_CACHED)
+    assert len(exact._FACT) == exact._FACT_MAX_CACHED + 1
+    assert factorial(20000) == math.factorial(20000)
+    assert len(exact._FACT) == exact._FACT_MAX_CACHED + 1
 
 
 def test_binomial_examples():

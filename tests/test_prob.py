@@ -173,6 +173,10 @@ class TestHypergeomMgf:
         with pytest.raises(ValueError):
             hypergeom_mgf(HypergeomParams(1, 1, 2), Decimal(0), 0)
 
+    def test_overflow_names_the_cause(self):
+        with pytest.raises(OverflowError, match=r"e\^\(t\*x\)"):
+            hypergeom_mgf(HypergeomParams(3, 2, 10), Decimal("1e400000"), 15)
+
 
 class TestMoments:
     def test_mean_examples(self):
