@@ -30,10 +30,6 @@ _FACT_LOCK = threading.Lock()
 _FACT = [1]
 _FACT_MAX_CACHED = 1024
 
-# Above this row size the multiplicative stdlib routine wins and the table
-# would grow into huge-integer territory for no benefit.
-_BINOMIAL_CACHE_LIMIT = 512
-
 
 def factorial(n: int) -> int:
     """n! as an exact integer; values up to _FACT_MAX_CACHED are cached."""
@@ -60,8 +56,6 @@ def binomial(n: int, k: int) -> int:
         raise ValueError(f"binomial with negative row {n}")
     if k < 0 or k > n:
         return 0
-    if n <= _BINOMIAL_CACHE_LIMIT:
-        return factorial(n) // (factorial(k) * factorial(n - k))
     return math.comb(n, k)
 
 
@@ -104,7 +98,8 @@ class SignedSqrtRational:
 
     @classmethod
     def zero(cls) -> "SignedSqrtRational":
-        return cls(0, Fraction(0))
+        """The shared zero value; instances are immutable."""
+        return _ZERO
 
     @classmethod
     def from_rational(cls, value: Fraction | int) -> "SignedSqrtRational":
@@ -120,8 +115,20 @@ class SignedSqrtRational:
         if radicand < 0:
             raise ValueError(f"radicand must be nonnegative, got {radicand}")
         if coeff == 0 or radicand == 0:
-            return cls.zero()
-        return cls(_sign_of(coeff), coeff * coeff * radicand)
+            return _ZERO
+        # The checks above give sign +-1 and a positive Fraction radicand,
+        # so __post_init__'s re-wrap and re-validation are skipped.
+        value = object.__new__(cls)
+        object.__setattr__(value, "sign", _sign_of(coeff))
+        object.__setattr__(
+            value,
+            "radicand",
+            Fraction(
+                coeff.numerator**2 * radicand.numerator,
+                coeff.denominator**2 * radicand.denominator,
+            ),
+        )
+        return value
 
     @property
     def is_zero(self) -> bool:
@@ -159,6 +166,9 @@ class SignedSqrtRational:
             return "0"
         prefix = "-" if self.sign < 0 else "+"
         return f"{prefix}sqrt({self.radicand})"
+
+
+_ZERO = SignedSqrtRational(0, Fraction(0))
 
 
 def _pow10(e: int) -> int:

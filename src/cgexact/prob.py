@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, Overflow, localcontext
+from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 
 from .angular import DegenerateLabels
@@ -154,7 +154,8 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
     """M(t) = sum_x pmf(x) e^(t x) to `digits` significant digits.
 
     The pmf is exact; only e^(tx) is numeric. Equals G(e^t) by construction.
-    Raises OverflowError when some e^(tx) exceeds the largest decimal.
+    Raises ValueError when t does not parse as a decimal or is not finite,
+    and OverflowError when some e^(tx) exceeds the largest decimal.
     """
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
@@ -163,7 +164,12 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
         raise UnsupportedParameterRegimeError(
             f"generating function needs n3 - n1 - n2 + 1 >= 1, got {lower}"
         )
-    t_dec = t if isinstance(t, Decimal) else Decimal(str(t))
+    try:
+        t_dec = t if isinstance(t, Decimal) else Decimal(str(t))
+    except InvalidOperation:
+        raise ValueError(f"t must be a finite decimal number, got {t!r}") from None
+    if not t_dec.is_finite():
+        raise ValueError(f"t must be a finite decimal number, got {t!r}")
     with localcontext(Context(prec=digits + 10)) as ctx:
         total = Decimal(0)
         for x in params.support():
@@ -194,22 +200,23 @@ def hypergeom_variance(params: HypergeomParams) -> Fraction:
     return Fraction(n1 * n2 * (n3 - n1) * (n3 - n2), n3 * n3 * (n3 - 1))
 
 
-def _pmf_numerator(params: BinomialParams, r: int) -> int:
+def _pmf_numerator(trials: int, p: Fraction, r: int) -> int:
     """C(trials, r) u^r (v-u)^(trials-r) for p = u/v, with r in [0, trials].
 
     This is the pmf at r times v^trials: every value of one binomial law
     shares that denominator, so callers work on these integers and build
     one Fraction per result. At p = 0 and p = 1 the empty power 0**0 is 1.
     """
-    u, v = params.p.numerator, params.p.denominator
-    return binomial(params.trials, r) * u**r * (v - u) ** (params.trials - r)
+    u, v = p.numerator, p.denominator
+    return binomial(trials, r) * u**r * (v - u) ** (trials - r)
 
 
 def binomial_pmf(params: BinomialParams, r: int) -> Fraction:
     """C(trials, r) p^r (1-p)^(trials-r); zero outside [0, trials]."""
     if r < 0 or r > params.trials:
         return Fraction(0)
-    return Fraction(_pmf_numerator(params, r), params.p.denominator**params.trials)
+    trials, p = params.trials, params.p
+    return Fraction(_pmf_numerator(trials, p, r), p.denominator**trials)
 
 
 def binomial_convolve(a: BinomialParams, b: BinomialParams) -> PmfTable:
@@ -228,8 +235,8 @@ def binomial_convolve(a: BinomialParams, b: BinomialParams) -> PmfTable:
     """
     if a.p != b.p:
         raise MismatchedPError(f"common p required, got {a.p} and {b.p}")
-    num_a = [_pmf_numerator(a, j) for j in range(a.trials + 1)]
-    num_b = [_pmf_numerator(b, j) for j in range(b.trials + 1)]
+    num_a = [_pmf_numerator(a.trials, a.p, j) for j in range(a.trials + 1)]
+    num_b = [_pmf_numerator(b.trials, b.p, j) for j in range(b.trials + 1)]
     denominator = a.p.denominator ** (a.trials + b.trials)
     entries = []
     for k in range(a.trials + b.trials + 1):
@@ -246,16 +253,17 @@ def conditional_probability(labels: DegenerateLabels, p: Fraction | int | str) -
     """P(component counts | total count) for two independent binomial draws.
 
     Computed literally as the quotient of pmf values; every power of p
-    cancels, leaving C(l1,k1) C(l2,k2) / C(l,k) independent of p.
+    cancels, leaving C(l1,k1) C(l2,k2) / C(l,k) independent of p. The
+    three pmfs are taken as numerators over v^l1, v^l2 and v^l for p = u/v;
+    since l = l1 + l2 those denominators cancel as well.
     """
     p = Fraction(p)
     if not 0 < p < 1:
         raise DegenerateConditioningError(f"p must lie strictly inside (0, 1), got {p}")
-    numerator = binomial_pmf(BinomialParams(labels.l1, p), labels.k1) * binomial_pmf(
-        BinomialParams(labels.l2, p), labels.k2
+    return Fraction(
+        _pmf_numerator(labels.l1, p, labels.k1) * _pmf_numerator(labels.l2, p, labels.k2),
+        _pmf_numerator(labels.l, p, labels.k),
     )
-    denominator = binomial_pmf(BinomialParams(labels.l, p), labels.k)
-    return numerator / denominator
 
 
 def binomial_limit_tv(

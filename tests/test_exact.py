@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -81,6 +82,15 @@ def test_binomial_large_row_bypasses_cache():
     assert binomial(40960, 10) == math.comb(40960, 10)
 
 
+def test_binomial_is_math_comb_across_the_old_table_boundary():
+    # rows up to 512 were once factorial-table quotients, larger ones math.comb
+    for n in range(601):
+        assert [binomial(n, k) for k in range(n + 1)] == [math.comb(n, k) for k in range(n + 1)]
+        assert binomial(n, -1) == binomial(n, n + 1) == 0
+    with pytest.raises(ValueError, match="negative row"):
+        binomial(-1, 0)
+
+
 def test_pochhammer_examples():
     assert pochhammer(Fraction(0), 0) == 1
     for p in (1, 2, 5):
@@ -131,6 +141,32 @@ class TestSignedSqrtRational:
         v = SignedSqrtRational.from_scaled_sqrt(Fraction(-3), Fraction(1, 2))
         assert v == SignedSqrtRational(-1, Fraction(9, 2))
         assert SignedSqrtRational.from_scaled_sqrt(0, Fraction(1, 2)).is_zero
+
+    def test_zero_is_one_shared_frozen_instance(self):
+        zero = SignedSqrtRational.zero()
+        assert SignedSqrtRational.zero() is zero
+        assert zero == SignedSqrtRational(0, 0)
+        assert zero.radicand == 0 and isinstance(zero.radicand, Fraction)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            zero.sign = 1
+
+    def test_from_scaled_sqrt_matches_validated_constructor(self):
+        coeffs = [0, 1, -1, 3, -7, Fraction(2, 3), Fraction(-5, 4), Fraction(-12, 18)]
+        radicands = [0, 1, 2, Fraction(1, 2), Fraction(9, 4), Fraction(6, 35), 10**30 + 1]
+        for coeff in coeffs:
+            for radicand in radicands:
+                value = SignedSqrtRational.from_scaled_sqrt(coeff, radicand)
+                c, r = Fraction(coeff), Fraction(radicand)
+                sign = (c > 0) - (c < 0) if r else 0
+                expected = SignedSqrtRational(sign, c * c * r)
+                assert (value.sign, value.radicand) == (expected.sign, expected.radicand)
+                assert type(value.radicand) is Fraction
+                assert value == expected
+
+    def test_from_scaled_sqrt_rejects_negative_radicand(self):
+        for coeff in (0, 1, Fraction(-2, 3)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                SignedSqrtRational.from_scaled_sqrt(coeff, Fraction(-1, 2))
 
     def test_algebra(self):
         a = SignedSqrtRational(1, Fraction(1, 2))

@@ -177,6 +177,14 @@ class TestHypergeomMgf:
         with pytest.raises(OverflowError, match=r"e\^\(t\*x\)"):
             hypergeom_mgf(HypergeomParams(3, 2, 10), Decimal("1e400000"), 15)
 
+    @pytest.mark.parametrize(
+        "t", [" abc", "", "1/2", "Infinity", " -Infinity", "NaN", "sNaN", Decimal("NaN")]
+    )
+    def test_t_must_be_a_finite_decimal(self, t):
+        with pytest.raises(ValueError, match="t must be a finite decimal number") as info:
+            hypergeom_mgf(HypergeomParams(3, 2, 10), t, 15)
+        assert repr(t) in str(info.value)
+
 
 class TestMoments:
     def test_mean_examples(self):
@@ -313,6 +321,20 @@ class TestConditionalProbability:
                         labels = DegenerateLabels(l1, k1, l2, k2)
                         values = {conditional_probability(labels, p) for p in ps}
                         assert len(values) == 1
+
+    def test_equals_quotient_of_binomial_pmfs(self):
+        for p in (HALF, THIRD, Fraction(3, 10), Fraction(99, 100)):
+            for l1 in range(7):
+                for l2 in range(7):
+                    for k1 in range(l1 + 1):
+                        for k2 in range(l2 + 1):
+                            labels = DegenerateLabels(l1, k1, l2, k2)
+                            quotient = (
+                                binomial_pmf(BinomialParams(l1, p), k1)
+                                * binomial_pmf(BinomialParams(l2, p), k2)
+                                / binomial_pmf(BinomialParams(l1 + l2, p), k1 + k2)
+                            )
+                            assert conditional_probability(labels, p) == quotient
 
     def test_degenerate_conditioning_rejected(self):
         labels = DegenerateLabels(2, 1, 2, 1)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from cgexact import angular, prob
+from cgexact.cli import main
 from cgexact.exact import SignedSqrtRational
 from cgexact.verify import (
     run_backend_agreement,
@@ -122,3 +123,188 @@ def test_failure_rows_have_input_expected_actual(monkeypatch):
     # failures are sorted by input for reproducible reports
     inputs = [f.input for f in report.failures]
     assert inputs == sorted(inputs)
+
+
+# Golden failure rows. Each fault skews one operation so that exactly one
+# leg of a suite (plus the legs that depend on it) fails; the pinned counts
+# and rows are the reports of the Fraction-per-case implementation, so a
+# suite that stops checking a leg, or formats a row differently, fails here.
+
+
+def _constant_3f2(monkeypatch):
+    monkeypatch.setattr(
+        angular, "cg_3f2", lambda labels: SignedSqrtRational(1, Fraction(7, 5))
+    )
+
+
+def _doubled_ratio(monkeypatch):
+    real = angular.cg_degenerate_squared
+    monkeypatch.setattr(angular, "cg_degenerate_squared", lambda labels: real(labels) * 2)
+
+
+def _doubled_conditional(monkeypatch):
+    real = prob.conditional_probability
+    monkeypatch.setattr(prob, "conditional_probability", lambda labels, p: real(labels, p) * 2)
+
+
+def _negated_ladder(monkeypatch):
+    real = angular.cg_ladder_rows
+
+    def negated(a, b):
+        for vector in real(a, b):
+            yield angular.ProductStateVector({key: -v for key, v in vector.entries.items()})
+
+    monkeypatch.setattr(angular, "cg_ladder_rows", negated)
+
+
+def _doubled_top_pmf(monkeypatch):
+    real = prob.hypergeom_pmf
+
+    def doubled(params, x):
+        value = real(params, x)
+        return value * 2 if x == params.support()[-1] else value
+
+    monkeypatch.setattr(prob, "hypergeom_pmf", doubled)
+
+
+def _reflected_pmf(monkeypatch):
+    # a permutation of the pmf: it still sums to 1, but the moments move
+    real = prob.hypergeom_pmf
+
+    def reflected(params, x):
+        support = params.support()
+        return real(params, support[0] + support[-1] - x)
+
+    monkeypatch.setattr(prob, "hypergeom_pmf", reflected)
+
+
+def _shifted_variance(monkeypatch):
+    real = prob.hypergeom_variance
+    monkeypatch.setattr(prob, "hypergeom_variance", lambda params: real(params) + 1)
+
+
+def _shifted_pgf(monkeypatch):
+    real = prob.hypergeom_pgf
+    monkeypatch.setattr(prob, "hypergeom_pgf", lambda params, t: real(params, t) + Fraction(1, 3))
+
+
+def _halved_binomial_at_one(monkeypatch):
+    real = prob.binomial_pmf
+
+    def halved(params, r):
+        value = real(params, r)
+        return value / 2 if r == 1 else value
+
+    monkeypatch.setattr(prob, "binomial_pmf", halved)
+
+
+GOLDEN_FAULTS = {
+    "agreement": (
+        _constant_3f2, run_backend_agreement, 2, 700, 700,
+        ("a=0 alpha=0 b=0 beta=0 c=0 gamma=0", "+sqrt(1)", "+sqrt(7/5)"),
+        ("a=0 alpha=0 b=1/2 beta=1/2 c=1/2 gamma=1/2", "+sqrt(1)", "+sqrt(7/5)"),
+    ),
+    "degenerate-ratio": (
+        _doubled_ratio, run_degenerate_identity, 3, 100, 100,
+        ("l1=0 k1=0 l2=0 k2=0", "sign=+1 radicand=2",
+         "cg=+sqrt(1) conditional=1 ladder=+sqrt(1)"),
+        ("l1=1 k1=1 l2=2 k2=0", "sign=+1 radicand=2/3",
+         "cg=+sqrt(1/3) conditional=1/3 ladder=+sqrt(1/3)"),
+    ),
+    "degenerate-conditional": (
+        _doubled_conditional, run_degenerate_identity, 3, 100, 100,
+        ("l1=0 k1=0 l2=0 k2=0", "sign=+1 radicand=1",
+         "cg=+sqrt(1) conditional=2 ladder=+sqrt(1)"),
+        ("l1=1 k1=1 l2=2 k2=0", "sign=+1 radicand=1/3",
+         "cg=+sqrt(1/3) conditional=2/3 ladder=+sqrt(1/3)"),
+    ),
+    "degenerate-ladder": (
+        _negated_ladder, run_degenerate_identity, 3, 100, 100,
+        ("l1=0 k1=0 l2=0 k2=0", "sign=+1 radicand=1",
+         "cg=+sqrt(1) conditional=1 ladder=-sqrt(1)"),
+        ("l1=1 k1=1 l2=2 k2=0", "sign=+1 radicand=1/3",
+         "cg=+sqrt(1/3) conditional=1/3 ladder=-sqrt(1/3)"),
+    ),
+    "pmf-sum": (
+        _doubled_top_pmf, run_distribution_identities, 4, 269, 99,
+        ("n1=0 n2=0 n3=0 pmf-sum", "1", "2"),
+        ("n1=2 n2=2 n3=2 variance", "0", "2"),
+    ),
+    "mean": (
+        _reflected_pmf, run_distribution_identities, 4, 269, 10,
+        ("n1=1 n2=1 n3=3 mean", "1/3", "2/3"),
+        ("n1=3 n2=3 n3=4 variance", "3/16", "35/16"),
+    ),
+    "variance": (
+        _shifted_variance, run_distribution_identities, 4, 269, 50,
+        ("n1=0 n2=0 n3=2 variance", "1", "0"),
+        ("n1=2 n2=2 n3=3 variance", "11/9", "2/9"),
+    ),
+    "pgf": (
+        _shifted_pgf, run_distribution_identities, 4, 269, 35,
+        ("n1=0 n2=0 n3=0 pgf(1)", "1", "4/3"),
+        ("n1=3 n2=0 n3=3 pgf(1)", "1", "4/3"),
+    ),
+    "convolution": (
+        _halved_binomial_at_one, run_distribution_identities, 4, 269, 72,
+        ("convolve trials1=0 trials2=1 p=1/2", "binomial pmf with summed trials",
+         "pointwise mismatch"),
+        ("convolve trials1=1 trials2=2 p=1/3", "binomial pmf with summed trials",
+         "pointwise mismatch"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_FAULTS))
+def test_golden_failure_rows(monkeypatch, name):
+    fault, runner, size, cases, failure_count, first, last = GOLDEN_FAULTS[name]
+    fault(monkeypatch)
+    report = runner(size)
+    assert report.cases_run == cases
+    assert report.failure_count == failure_count
+    assert len(report.failures) == min(failure_count, 20)
+    rows = [(f.input, f.expected, f.actual) for f in report.failures]
+    assert (rows[0], rows[-1]) == (first, last)
+
+
+def test_default_cli_verify_stdout_is_pinned(capsys):
+    assert main(["verify", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) == 806
+    assert out == DEFAULT_VERIFY_JSON
+
+
+DEFAULT_VERIFY_JSON = """\
+{
+  "command": "cgexact verify --format json",
+  "status": "ok",
+  "passed": true,
+  "suites": [
+    {
+      "suite_name": "backend_agreement",
+      "parameter_ranges": "2a, 2b <= 5; 2c <= 2a+2b+2; all projections",
+      "cases_run": 23716,
+      "failure_count": 0,
+      "passed": true,
+      "failures": []
+    },
+    {
+      "suite_name": "degenerate_identity",
+      "parameter_ranges": "l1, l2 <= 10; all k1, k2",
+      "cases_run": 4356,
+      "failure_count": 0,
+      "passed": true,
+      "failures": []
+    },
+    {
+      "suite_name": "distribution_identities",
+      "parameter_ranges": "n3 <= 30, all valid (n1, n2); convolution trials <= 12, p in {1/2, 1/3, 3/10}",
+      "cases_run": 37205,
+      "failure_count": 0,
+      "passed": true,
+      "failures": []
+    }
+  ],
+  "detail": ""
+}
+"""
