@@ -208,9 +208,17 @@ def selection_rules_satisfied(labels: CgLabels) -> bool:
 def racah_zsum_terms(labels: CgLabels) -> list[tuple[int, int]]:
     """The alternating binomial sum of the Racah formula, term by term.
 
-    Returns (z, signed term) pairs over exactly the z range where all three
-    binomials are simultaneously in support. Requires the selection rules to
-    hold (the sum is undefined otherwise).
+    Returns (z, t_z) pairs, t_z = (-1)^z C(p, z) C(q, am-z) C(r, bp-z) with
+    p = a+b-c, q = a-b+c, r = b+c-a, am = a-alpha, bp = b+beta, over exactly
+    the z range where all three binomials are simultaneously in support.
+    Only the first term is built from its binomials; each later one comes
+    from the term ratio
+
+        t_{z+1} = -t_z (p-z)(am-z)(bp-z) / ((z+1)(q-am+z+1)(r-bp+z+1)),
+
+    whose denominator is positive on the range (z >= am-q and z >= bp-r)
+    and whose division is exact because t_{z+1} is an integer. Requires the
+    selection rules to hold (the sum is undefined otherwise).
     """
     if not selection_rules_satisfied(labels):
         raise ValueError("z-sum is only defined when the selection rules hold")
@@ -220,10 +228,15 @@ def racah_zsum_terms(labels: CgLabels) -> list[tuple[int, int]]:
     r = (tb + tc - ta) // 2  # b+c-a
     am = (ta - labels.alpha.twice) // 2  # a-alpha
     bp = (tb + labels.beta.twice) // 2  # b+beta
+    z0 = max(0, am - q, bp - r)
+    t = binomial(p, z0) * binomial(q, am - z0) * binomial(r, bp - z0)
+    t = -t if z0 % 2 else t
     terms = []
-    for z in range(max(0, am - q, bp - r), min(p, am, bp) + 1):
-        t = binomial(p, z) * binomial(q, am - z) * binomial(r, bp - z)
-        terms.append((z, -t if z % 2 else t))
+    for z in range(z0, min(p, am, bp) + 1):
+        terms.append((z, t))
+        t = -t * ((p - z) * (am - z) * (bp - z)) // (
+            (z + 1) * (q - am + z + 1) * (r - bp + z + 1)
+        )
     return terms
 
 
@@ -232,6 +245,9 @@ def cg_racah(labels: CgLabels) -> SignedSqrtRational:
 
     Zero when the selection rules fail; otherwise the alternating z-sum
     carries the sign and the binomial-ratio prefactor sits under the root.
+    The z-sum is racah_zsum_terms: its first term from three binomials,
+    each later one as the previous times an integer ratio whose division is
+    exact, because every term is an integer.
     """
     if not selection_rules_satisfied(labels):
         return SignedSqrtRational.zero()

@@ -8,8 +8,8 @@ rendering that never touches machine floating point.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 __all__ = [
@@ -22,11 +22,11 @@ __all__ = [
 ]
 
 # Factorials of the same small arguments recur across every coefficient
-# evaluation, so they live in a shared append-only table. Readers index a
-# stable prefix without locking; growth is single-writer under the lock.
-# The table stops at _FACT_MAX_CACHED! (about 0.6 MB in all); larger
-# arguments go to math.factorial, so one huge request cannot pin memory.
-_FACT_LOCK = threading.Lock()
+# evaluation, so they live in a shared table that grows on demand. Entry i
+# is i! whoever wrote it, so growth needs no lock: new entries go in with
+# one slice assignment that never shrinks the table. The table stops at
+# _FACT_MAX_CACHED! (about 0.6 MB in all); larger arguments go to
+# math.factorial, so one huge request cannot pin memory.
 _FACT = [1]
 _FACT_MAX_CACHED = 1024
 
@@ -38,11 +38,13 @@ def factorial(n: int) -> int:
     if n >= len(_FACT):
         if n > _FACT_MAX_CACHED:
             return math.factorial(n)
-        with _FACT_LOCK:
-            acc = _FACT[-1]
-            for i in range(len(_FACT), n + 1):
-                acc *= i
-                _FACT.append(acc)
+        start = len(_FACT)
+        acc = _FACT[start - 1]
+        grown = []
+        for i in range(start, n + 1):
+            acc *= i
+            grown.append(acc)
+        _FACT[start : n + 1] = grown
     return _FACT[n]
 
 
@@ -213,6 +215,13 @@ def _sqrt_magnitude(num: int, den: int) -> int:
     return mag
 
 
+def _digit_string(q: int) -> str:
+    """The decimal digits of q >= 0. Decimal's exact conversion has no digit
+    cap, unlike str(int) past 4300 digits, and leaves the interpreter-wide
+    limit alone."""
+    return str(Decimal(q))
+
+
 def _place_digits(digit_str: str, mag: int, negative: bool) -> str:
     if mag <= 0:
         body = "0." + "0" * (-mag) + digit_str
@@ -253,7 +262,7 @@ def sqrt_to_decimal(value: SignedSqrtRational, digits: int) -> str:
     if q == _pow10(digits):
         q //= 10
         mag += 1
-    return _place_digits(str(q), mag, value.sign < 0)
+    return _place_digits(_digit_string(q), mag, value.sign < 0)
 
 
 def rational_to_decimal(value: Fraction | int, digits: int) -> str:
@@ -276,4 +285,4 @@ def rational_to_decimal(value: Fraction | int, digits: int) -> str:
     if q == _pow10(digits):
         q //= 10
         mag += 1
-    return _place_digits(str(q), mag, value < 0)
+    return _place_digits(_digit_string(q), mag, value < 0)

@@ -109,8 +109,11 @@ class PmfTable:
         if any(q < 0 for _, q in entries):
             raise ValueError("probabilities must be nonnegative")
         # summed on integers over the common denominator, not as Fractions
-        # that reduce after every addition
-        common = math.lcm(*(q.denominator for _, q in entries))
+        # that reduce after every addition; the lcm takes a list, not a
+        # generator: a tuple unpacked from a generator is built by resizing,
+        # and once freed it stays on CPython's per-length tuple free list
+        # until a full collection
+        common = math.lcm(*[q.denominator for _, q in entries])
         if sum(q.numerator * (common // q.denominator) for _, q in entries) != common:
             raise ValueError("probabilities must sum to 1 exactly")
         outcomes = [x for x, _ in entries]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -490,3 +492,78 @@ def test_racah_and_3f2_agree_at_large_j():
         assert value == cg_racah(labels)
         regimes.add(min(_lower_parameters(labels)) >= 1)
     assert regimes == {True, False}
+
+
+def _literal_zsum(labels: CgLabels) -> list[tuple[int, int]]:
+    """The Racah z-sum from math.comb, over every z where all three
+    binomials are in support."""
+    ta, tb, tc = labels.a.twice, labels.b.twice, labels.c.twice
+    p, q, r = (ta + tb - tc) // 2, (ta - tb + tc) // 2, (tb + tc - ta) // 2
+    am, bp = (ta - labels.alpha.twice) // 2, (tb + labels.beta.twice) // 2
+    return [
+        (z, (-1) ** z * math.comb(p, z) * math.comb(q, am - z) * math.comb(r, bp - z))
+        for z in range(min(p, am, bp) + 1)
+        if am - z <= q and bp - z <= r
+    ]
+
+
+def test_racah_zsum_recurrence_matches_literal_binomials_small():
+    checked = 0
+    for ta, tb in itertools.product(range(11), repeat=2):
+        for tc in range(abs(ta - tb), ta + tb + 1, 2):
+            for tal, tbe in itertools.product(range(-ta, ta + 1, 2), range(-tb, tb + 1, 2)):
+                if abs(tal + tbe) > tc:
+                    continue
+                labels = CgLabels.from_twice(ta, tal, tb, tbe, tc, tal + tbe)
+                assert selection_rules_satisfied(labels)
+                assert racah_zsum_terms(labels) == _literal_zsum(labels)
+                checked += 1
+    assert checked == 20_240
+
+
+def test_racah_zsum_recurrence_matches_literal_binomials_from_shifted_start():
+    # 2j from 100 to 1000 with the z range starting above 0 (am > q or bp > r),
+    # so the first term is not the plain C(q, am) C(r, bp)
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 200:
+        ta, tb = rng.randint(100, 1000), rng.randint(100, 1000)
+        tc = rng.randrange(abs(ta - tb), ta + tb + 1, 2)
+        tal, tbe = rng.randrange(-ta, ta + 1, 2), rng.randrange(-tb, tb + 1, 2)
+        if abs(tal + tbe) > tc:
+            continue
+        labels = CgLabels.from_twice(ta, tal, tb, tbe, tc, tal + tbe)
+        terms = _literal_zsum(labels)
+        if terms[0][0] == 0:
+            continue
+        assert racah_zsum_terms(labels) == terms
+        checked += 1
+
+
+def test_racah_and_3f2_agree_at_2j_up_to_4000():
+    label_sets = [
+        (1000, 2, 1000, 0, 1000, 2),
+        (1001, 11, 999, -3, 1200, 8),
+        (4000, 2, 4000, -2, 4800, 0),
+        (1999, -101, 2001, 51, 1000, -50),
+        (4000, 2, 4000, 0, 4000, 2),
+        (4001, 3, 3999, -1, 3000, 2),
+    ]
+    for twice in label_sets:
+        labels = CgLabels.from_twice(*twice)
+        assert selection_rules_satisfied(labels)
+        value = cg_racah(labels)
+        assert not value.is_zero
+        assert value == cg_3f2(labels)
+
+
+def test_racah_and_3f2_both_vanish_by_cancellation_at_2j_2000():
+    # <1000 0; 1000 0 | 1001 0> breaks no selection rule and its z-sum has
+    # 1000 nonzero terms, yet it cancels exactly (a + b + c is odd)
+    labels = CgLabels.from_twice(2000, 0, 2000, 0, 2002, 0)
+    assert selection_rules_satisfied(labels)
+    terms = racah_zsum_terms(labels)
+    assert len(terms) == 1000 and all(t != 0 for _, t in terms)
+    assert sum(t for _, t in terms) == 0
+    assert cg_racah(labels).is_zero
+    assert cg_3f2(labels).is_zero

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -226,6 +227,41 @@ class TestValuesPastIntStrLimit:
         pretty, decimal = out.strip().split(" = ")
         assert decimal == "0.0104224925629355"
         assert self.parse_big(*pretty.split("/")) == self.expected()
+
+class TestDigitsPastIntStrLimit:
+    """--digits past 4300 renders: <1 0; 1 0 | 2 0> = sqrt(2/3) to 4301
+    significant digits, in both formats, with the int-to-str cap untouched."""
+
+    ARGV = ("cg", "1", "0", "1", "0", "2", "0", "--digits", "4301")
+
+    @staticmethod
+    def assert_rounded_sqrt_two_thirds(decimal: str) -> None:
+        assert decimal.startswith("0.8164965809")
+        digits = decimal[2:]
+        assert len(digits) == 4301
+        # n = round(sqrt(2/3) * 10**4301): 3 (2n - 1)^2 < 8 * 10**8602 < 3 (2n + 1)^2
+        n = int(Decimal(digits))
+        bound = 8 * 10**8602
+        assert 3 * (2 * n - 1) ** 2 < bound < 3 * (2 * n + 1) ** 2
+
+    def test_json(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, record, _ = run_json(capsys, *self.ARGV)
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0
+        assert record["status"] == "ok"
+        assert record["exact"] == {"sign": 1, "radicand": {"num": "2", "den": "3"}}
+        self.assert_rounded_sqrt_two_thirds(record["decimal"])
+
+    def test_text(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out = run_cli(capsys, *self.ARGV)
+        assert sys.get_int_max_str_digits() == limit
+        assert code == 0
+        pretty, decimal = out.strip().split(" = ")
+        assert pretty == "+sqrt(2/3)"
+        self.assert_rounded_sqrt_two_thirds(decimal)
+
 
 class TestMgfOverflow:
     """e^(t x) past the largest decimal is a usage error with a message

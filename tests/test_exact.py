@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -45,6 +46,23 @@ def test_factorial_cache_concurrent_growth():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(factorial, args))
     assert results == [math.factorial(n) for n in args]
+
+
+def test_factorial_cache_growth_under_thread_switches():
+    # growth takes no lock; with a 1 us switch interval, growers interleave
+    # inside the growth loop, and every entry must still be its factorial
+    args = [503, 251, 17, 499, 251, 503, 89, 400] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            del exact._FACT[1:]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(factorial, args, timeout=60))
+            assert results == [math.factorial(n) for n in args]
+            assert exact._FACT == [math.factorial(i) for i in range(len(exact._FACT))]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_factorial_past_the_cache_bound():
@@ -273,6 +291,7 @@ def test_rational_to_decimal_roundtrip_accuracy(value, digits):
 # rounded division or square root at 15 digits, half-even.
 _EXACT = Context(prec=10_000, Emin=-999_999, Emax=999_999)
 _ROUNDED = Context(prec=15, rounding=ROUND_HALF_EVEN, Emin=-999_999, Emax=999_999)
+_DEFAULT_INT_STR_DIGITS = sys.get_int_max_str_digits()
 
 
 def test_rational_to_decimal_past_int_str_digit_limit():
@@ -285,6 +304,29 @@ def test_rational_to_decimal_past_int_str_digit_limit():
     ]
     for value, expected in cases:
         assert Decimal(rational_to_decimal(value, 15)) == expected
+
+
+@pytest.mark.parametrize("digits", [4301, 5000])
+def test_renderers_output_more_than_4300_digits(digits):
+    # the digit string itself is past int-to-str's 4300-digit default cap;
+    # negation is copy_negate, since unary minus would round to the thread's
+    # 28-digit context
+    rounded = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=-999_999, Emax=999_999)
+    big, other = 7**6000 + 1, 3**9500
+    rendered = rational_to_decimal(Fraction(-big, other), digits)
+    assert Decimal(rendered) == rounded.divide(Decimal(big), Decimal(other)).copy_negate()
+    assert Decimal(rational_to_decimal(Fraction(2, 3), digits)) == rounded.divide(2, 3)
+    odd = 3**9501
+    cases = [
+        (1, Fraction(2), Decimal(2)),
+        (-1, Fraction(odd, 10**4400), Decimal(odd).scaleb(-4400, _EXACT)),
+    ]
+    for sign, radicand, exact_radicand in cases:
+        rendered = sqrt_to_decimal(SignedSqrtRational(sign, radicand), digits)
+        expected = exact_radicand.sqrt(rounded)
+        assert Decimal(rendered) == (expected if sign > 0 else expected.copy_negate())
+        assert len(rendered.lstrip("-").replace(".", "").lstrip("0")) == digits
+    assert sys.get_int_max_str_digits() == _DEFAULT_INT_STR_DIGITS
 
 
 def test_sqrt_to_decimal_past_int_str_digit_limit():
