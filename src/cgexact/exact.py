@@ -269,10 +269,13 @@ def rational_to_decimal(value: Fraction | int, digits: int) -> str:
     """Decimal expansion of a rational to `digits` significant digits, half-even."""
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
-    value = Fraction(value)
-    if value == 0:
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    num, den = value.numerator, value.denominator
+    if num == 0:
         return "0"
-    num, den = abs(value.numerator), value.denominator
+    negative = num < 0
+    num = abs(num)
     mag = _magnitude(num, den)
     e = digits - mag
     if e >= 0:
@@ -285,4 +288,4 @@ def rational_to_decimal(value: Fraction | int, digits: int) -> str:
     if q == _pow10(digits):
         q //= 10
         mag += 1
-    return _place_digits(_digit_string(q), mag, value < 0)
+    return _place_digits(_digit_string(q), mag, negative)

@@ -4,8 +4,9 @@
 admissible only when some upper parameter is a nonpositive integer (so the
 sum is finite) and no lower-parameter Pochhammer vanishes before that cutoff.
 
-Both evaluators, and the regularized 3F2 sum of `angular.cg_3f2`, run on one
-kernel, `_terminating_sum`: Horner form on a plain integer numerator and
+Both evaluators, the regularized 3F2 sum of `angular.cg_3f2` and the 2F1
+generating function of `prob.hypergeom_pgf` run on one kernel,
+`_terminating_sum`: Horner form on a plain integer numerator and
 denominator, reduced once into a single `Fraction` at the end.
 """
 

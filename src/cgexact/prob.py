@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .angular import DegenerateLabels
 from .exact import binomial
-from .hypseries import SeriesParams2F1, eval_2f1
+from .hypseries import _terminating_sum
 
 __all__ = [
     "BinomialParams",
@@ -66,7 +66,11 @@ class SupportTooSmallError(ValueError):
 
 @dataclass(frozen=True)
 class HypergeomParams:
-    """Draw n2 items from n3 of which n1 are marked; X counts marked draws."""
+    """Draw n2 items from n3 of which n1 are marked; X counts marked draws.
+
+    The pmf normaliser C(n3, n2) is computed once, as `_normaliser`, outside
+    the dataclass fields: eq, hash, repr and `replace` see only (n1, n2, n3).
+    """
 
     n1: int
     n2: int
@@ -77,6 +81,7 @@ class HypergeomParams:
             raise ValueError(f"need 0 <= n1 <= n3, got n1={self.n1}, n3={self.n3}")
         if not 0 <= self.n2 <= self.n3:
             raise ValueError(f"need 0 <= n2 <= n3, got n2={self.n2}, n3={self.n3}")
+        object.__setattr__(self, "_normaliser", binomial(self.n3, self.n2))
 
     def support(self) -> range:
         return range(max(0, self.n1 + self.n2 - self.n3), min(self.n1, self.n2) + 1)
@@ -109,11 +114,12 @@ class PmfTable:
         if any(q < 0 for _, q in entries):
             raise ValueError("probabilities must be nonnegative")
         # summed on integers over the common denominator, not as Fractions
-        # that reduce after every addition; the lcm takes a list, not a
-        # generator: a tuple unpacked from a generator is built by resizing,
-        # and once freed it stays on CPython's per-length tuple free list
-        # until a full collection
-        common = math.lcm(*[q.denominator for _, q in entries])
+        # that reduce after every addition; the lcm is folded pairwise, since
+        # an argument tuple unpacked into math.lcm stays on CPython's
+        # per-length tuple free list once freed, until a full collection
+        common = 1
+        for _, q in entries:
+            common = math.lcm(common, q.denominator)
         if sum(q.numerator * (common // q.denominator) for _, q in entries) != common:
             raise ValueError("probabilities must sum to 1 exactly")
         outcomes = [x for x, _ in entries]
@@ -128,24 +134,32 @@ class PmfTable:
 
 
 def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
-    """C(n1,x) C(n3-n1,n2-x) / C(n3,n2); zero outside the support."""
+    """C(n1,x) C(n3-n1,n2-x) / C(n3,n2); zero outside the support.
+
+    Every value of one law is an integer numerator over the normaliser
+    C(n3,n2) that its HypergeomParams computed once.
+    """
     return Fraction(
         binomial(params.n1, x) * binomial(params.n3 - params.n1, params.n2 - x),
-        binomial(params.n3, params.n2),
+        params._normaliser,
     )
 
 
 def _pgf_series(params: HypergeomParams, argument: Fraction) -> Fraction:
-    lower = params.n3 - params.n1 - params.n2 + 1
+    """C(n3-n1,n2)/C(n3,n2) * 2F1(-n1, -n2; n3-n1-n2+1; argument), summed on
+    the integer kernel with the prefactor as first term over the normaliser.
+
+    n1, n2 >= 0 end the series at min(n1, n2); lower >= 1 leaves no pole.
+    """
+    n1, n2, n3 = params.n1, params.n2, params.n3
+    lower = n3 - n1 - n2 + 1
     if lower <= 0:
         raise UnsupportedParameterRegimeError(
             f"generating function needs n3 - n1 - n2 + 1 >= 1, got {lower}"
         )
-    prefactor = Fraction(
-        binomial(params.n3 - params.n1, params.n2), binomial(params.n3, params.n2)
+    return _terminating_sum(
+        (-n1, -n2), (lower,), argument, 0, min(n1, n2), binomial(n3 - n1, n2), params._normaliser
     )
-    series = eval_2f1(SeriesParams2F1((-params.n1, -params.n2), lower, argument))
-    return prefactor * series
 
 
 def hypergeom_pgf(params: HypergeomParams, t: Fraction | int) -> Fraction:
@@ -278,8 +292,14 @@ def binomial_limit_tv(
     n3 must be a multiple of denominator(p) so that n1 is an exact integer,
     and n2 must fit inside min(n1, n3 - n1) so both laws share the full
     support [0, n2].
+
+    For p = u/v each distance is one Fraction: the integer sum over x of
+    |C(n1,x) C(n3-n1,n2-x) v^n2 - _pmf_numerator(n2,p,x) C(n3,n2)|, over the
+    common denominator 2 C(n3,n2) v^n2.
     """
     p = Fraction(p)
+    scale = p.denominator**n2
+    binomial_nums = [_pmf_numerator(n2, p, x) for x in range(n2 + 1)]
     results = []
     for n3 in n3_sequence:
         if n3 <= 0:
@@ -291,14 +311,10 @@ def binomial_limit_tv(
             raise SupportTooSmallError(
                 f"n2 = {n2} exceeds min(n1, n3 - n1) = {min(n1, n3 - n1)} at n3 = {n3}"
             )
-        hyp = HypergeomParams(n1, n2, n3)
-        bin_params = BinomialParams(n2, p)
-        distance = (
-            sum(
-                (abs(hypergeom_pmf(hyp, x) - binomial_pmf(bin_params, x)) for x in range(n2 + 1)),
-                Fraction(0),
-            )
-            / 2
+        normaliser = HypergeomParams(n1, n2, n3)._normaliser
+        total = sum(
+            abs(binomial(n1, x) * binomial(n3 - n1, n2 - x) * scale - num * normaliser)
+            for x, num in enumerate(binomial_nums)
         )
-        results.append((n3, distance))
+        results.append((n3, Fraction(total, 2 * normaliser * scale)))
     return results

@@ -173,11 +173,12 @@ def run_distribution_identities(max_n3: int) -> SuiteReport:
                 params = prob.HypergeomParams(n1, n2, n3)
                 support = params.support()
                 pmf = [prob.hypergeom_pmf(params, x) for x in support]
-                # a list, not a generator: a tuple unpacked from a generator
-                # is built by resizing, and once freed it stays on CPython's
-                # per-length tuple free list until a full collection (about
-                # 0.7 MB of peak RSS over the default sweep)
-                common = math.lcm(*[q.denominator for q in pmf])
+                # folded pairwise: an argument tuple unpacked into math.lcm
+                # stays on CPython's per-length tuple free list once freed,
+                # until a full collection
+                common = 1
+                for q in pmf:
+                    common = math.lcm(common, q.denominator)
                 scaled = [q.numerator * (common // q.denominator) for q in pmf]
                 total = sum(scaled)
                 if not rec.check(total == common):

@@ -266,6 +266,16 @@ def test_rational_to_decimal_basic():
     assert rational_to_decimal(Fraction(0), 7) == "0"
 
 
+def test_rational_to_decimal_same_digits_for_int_and_fraction_input():
+    for value in (0, 7, -7, 10**40 + 5, -(3**200)):
+        for digits in (1, 3, 15, 60):
+            assert rational_to_decimal(value, digits) == rational_to_decimal(
+                Fraction(value), digits
+            )
+    assert rational_to_decimal(-7, 3) == "-7.00"
+    assert rational_to_decimal(Fraction(0, 5), 2) == "0"
+
+
 def test_rational_to_decimal_half_even_ties():
     assert rational_to_decimal(Fraction(25, 10), 1) == "2"
     assert rational_to_decimal(Fraction(35, 10), 1) == "4"

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -34,6 +37,15 @@ HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
 
 
+def _comb(n: int, k: int) -> int:
+    """math.comb with the zero convention for k < 0 as well."""
+    return math.comb(n, k) if k >= 0 else 0
+
+
+def _literal_pmf(n1: int, n2: int, n3: int, x: int) -> Fraction:
+    return Fraction(_comb(n1, x) * _comb(n3 - n1, n2 - x), math.comb(n3, n2))
+
+
 class TestParams:
     def test_hypergeom_validation(self):
         with pytest.raises(ValueError):
@@ -53,6 +65,23 @@ class TestParams:
     def test_support(self):
         assert list(HypergeomParams(5, 2, 10).support()) == [0, 1, 2]
         assert list(HypergeomParams(9, 8, 10).support()) == [7, 8]
+
+    def test_normaliser_is_not_a_field(self):
+        params = HypergeomParams(5, 2, 10)
+        assert params._normaliser == math.comb(10, 2)
+        assert [f.name for f in dataclasses.fields(params)] == ["n1", "n2", "n3"]
+        assert repr(params) == "HypergeomParams(n1=5, n2=2, n3=10)"
+        assert params == HypergeomParams(5, 2, 10)
+        assert hash(params) == hash(HypergeomParams(5, 2, 10))
+        assert params != HypergeomParams(5, 3, 10)
+        assert dataclasses.astuple(params) == (5, 2, 10)
+        replaced = dataclasses.replace(params, n2=3)
+        assert replaced == HypergeomParams(5, 3, 10)
+        assert replaced._normaliser == math.comb(10, 3)
+        restored = pickle.loads(pickle.dumps(params))
+        assert restored == params and restored._normaliser == params._normaliser
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params._normaliser = 1
 
 
 class TestPmfTable:
@@ -112,6 +141,25 @@ class TestHypergeomPmf:
                     )
                     assert total == 1
 
+    def test_equals_literal_quotient_every_small_law(self):
+        for n3 in range(41):
+            for n1 in range(n3 + 1):
+                for n2 in range(n3 + 1):
+                    params = HypergeomParams(n1, n2, n3)
+                    support = params.support()
+                    for x in range(support.start - 1, support.stop + 1):
+                        assert hypergeom_pmf(params, x) == _literal_pmf(n1, n2, n3, x)
+
+    def test_equals_literal_quotient_seeded_large_laws(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            n3 = round(math.exp(rng.uniform(math.log(41), math.log(40000))))
+            n1, n2 = rng.randint(0, n3), rng.randint(0, n3)
+            params = HypergeomParams(n1, n2, n3)
+            support = params.support()
+            x = rng.randint(support.start - 1, support.stop)
+            assert hypergeom_pmf(params, x) == _literal_pmf(n1, n2, n3, x)
+
 
 class TestHypergeomPgf:
     def test_normalization_at_one(self):
@@ -132,13 +180,16 @@ class TestHypergeomPgf:
             assert hypergeom_pgf(params, 0) == hypergeom_pmf(params, 0)
 
     def test_equals_power_sum(self):
-        for params in (HypergeomParams(4, 3, 12), HypergeomParams(2, 5, 9)):
-            for t in (Fraction(2), Fraction(-1, 3)):
-                expected = sum(
-                    (hypergeom_pmf(params, x) * t**x for x in params.support()),
-                    Fraction(0),
-                )
-                assert hypergeom_pgf(params, t) == expected
+        # every law in the 2F1 regime with n3 <= 25, against the literal pmf
+        ts = (Fraction(-3, 2), Fraction(0), Fraction(2, 7), Fraction(5, 3), Fraction(7, 2))
+        for n3 in range(26):
+            for n1 in range(n3 + 1):
+                for n2 in range(n3 - n1 + 1):
+                    params = HypergeomParams(n1, n2, n3)
+                    pmf = [(x, _literal_pmf(n1, n2, n3, x)) for x in params.support()]
+                    for t in ts:
+                        expected = sum((q * t**x for x, q in pmf), Fraction(0))
+                        assert hypergeom_pgf(params, t) == expected
 
     def test_unsupported_regime_rejected(self):
         with pytest.raises(UnsupportedParameterRegimeError):
@@ -363,3 +414,31 @@ class TestBinomialLimit:
     def test_support_too_small_rejected(self):
         with pytest.raises(SupportTooSmallError):
             binomial_limit_tv(HALF, 6, [10])
+
+    def test_equals_fraction_formula(self):
+        def oracle(p, n2, n3_sequence):
+            # pointwise Fraction differences, halved at the end
+            results = []
+            for n3 in n3_sequence:
+                n1 = int(p * n3)
+                total = Fraction(0)
+                for x in range(n2 + 1):
+                    binomial_value = math.comb(n2, x) * p**x * (1 - p) ** (n2 - x)
+                    total += abs(_literal_pmf(n1, n2, n3, x) - binomial_value)
+                results.append((n3, total / 2))
+            return results
+
+        rng = random.Random(7)
+        probabilities = [HALF, THIRD, Fraction(1, 4), Fraction(2, 5), Fraction(3, 10)]
+        for p in probabilities:
+            for _ in range(4):
+                n2 = rng.randint(0, 60)
+                step = p.denominator
+                # smallest multiple of denominator(p) leaving full support [0, n2]
+                n3 = max(step, -(-n2 // min(p, 1 - p)))
+                n3 += -n3 % step
+                sequence = [n3]
+                while sequence[-1] * 3 <= 40000:
+                    sequence.append(sequence[-1] * 3)
+                assert binomial_limit_tv(p, n2, sequence) == oracle(p, n2, sequence)
+        assert binomial_limit_tv(HALF, 2, []) == []

@@ -3,7 +3,9 @@ report determinism and JSON shape."""
 
 from __future__ import annotations
 
+import inspect
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,6 +40,32 @@ def test_distribution_identities_small():
     report = run_distribution_identities(8)
     assert report.passed
     assert report.cases_run > 0
+
+
+def _lcm_call_sites(function) -> set[tuple[str, int]]:
+    lines, start = inspect.getsourcelines(function)
+    filename = function.__code__.co_filename
+    return {(filename, start + i) for i, line in enumerate(lines) if "math.lcm(" in line}
+
+
+def test_lcm_folds_leave_no_live_blocks():
+    # an argument tuple unpacked into math.lcm outlives the call on CPython's
+    # tuple free lists; the pairwise folds allocate nothing that stays live
+    sites = _lcm_call_sites(prob.PmfTable.__post_init__) | _lcm_call_sites(
+        run_distribution_identities
+    )
+    assert len(sites) == 2
+    tracemalloc.start()
+    try:
+        assert run_distribution_identities(30).passed
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    live = {
+        (stat.traceback[0].filename, stat.traceback[0].lineno): stat.size
+        for stat in snapshot.statistics("lineno")
+    }
+    assert {site: live[site] for site in sites if site in live} == {}
 
 
 def test_size_preconditions():
