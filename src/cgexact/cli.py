@@ -26,7 +26,7 @@ from .angular import (
     cg_to_3jm,
     selection_rule_violation,
 )
-from .exact import SignedSqrtRational, rational_to_decimal, sqrt_to_decimal
+from .exact import SignedSqrtRational, _digit_string, rational_to_decimal, sqrt_to_decimal
 from .prob import (
     BinomialParams,
     DegenerateLabels,
@@ -79,14 +79,9 @@ def _echo(argv: list[str]) -> str:
 
 def _fraction_json(q: Fraction) -> dict:
     # Exact pmfs and radicands can run past Python's int-to-str digit limit
-    # (4300 by default); it is lifted for this rendering only, so library
-    # callers keep it.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return {"num": str(q.numerator), "den": str(q.denominator)}
-    finally:
-        sys.set_int_max_str_digits(limit)
+    # (4300 by default); _digit_string renders past it without touching the
+    # interpreter-wide setting.
+    return {"num": _digit_string(q.numerator), "den": _digit_string(q.denominator)}
 
 
 def _sqrt_exact(value: SignedSqrtRational) -> dict:

@@ -2,15 +2,19 @@
 
 Cached factorials, binomials with the out-of-support-zero convention, rising
 factorials over rationals, the signed-square-root value type, and decimal
-rendering that never touches machine floating point.
+rendering that never touches machine floating point. Binomials come from
+math.comb below a measured crossover and from Legendre prime exponents
+above it, where math.comb's big-integer divisions dominate.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import compress
 
 __all__ = [
     "SignedSqrtRational",
@@ -48,6 +52,24 @@ def factorial(n: int) -> int:
     return _FACT[n]
 
 
+# Primes for binomial rows up to _PRIMES_MAX_CACHED are sieved once, on the
+# first row that needs them: 6542 primes, about 0.25 MB. A longer row sieves
+# its own primes and drops them after the call, so no input grows the table
+# past that cap. Sieving per call beats falling back to math.comb there: the
+# sieve is linear in n, and math.comb on long central rows grows far faster.
+_PRIMES: list[int] = []
+_PRIMES_MAX_CACHED = 1 << 16
+
+# Measured crossovers: the prime path is the faster once min(k, n - k)
+# reaches _PRIME_MIN_K + n // 64 on cached rows and _PRIME_MIN_K_SIEVED +
+# n // 64 on rows that sieve per call; the n term is the per-prime work.
+# Rows shorter than _PRIME_MIN_ROW never reach it, so small calls pay one
+# comparison for it.
+_PRIME_MIN_K = 320
+_PRIME_MIN_K_SIEVED = 2048
+_PRIME_MIN_ROW = 2 * _PRIME_MIN_K
+
+
 def binomial(n: int, k: int) -> int:
     """C(n, k), defined as 0 whenever k lies outside [0, n].
 
@@ -58,7 +80,67 @@ def binomial(n: int, k: int) -> int:
         raise ValueError(f"binomial with negative row {n}")
     if k < 0 or k > n:
         return 0
-    return math.comb(n, k)
+    if n < _PRIME_MIN_ROW:
+        return math.comb(n, k)
+    k = min(k, n - k)
+    if n <= _PRIMES_MAX_CACHED:
+        if k < _PRIME_MIN_K + (n >> 6):
+            return math.comb(n, k)
+        if not _PRIMES:
+            _PRIMES[:] = _primes_upto(_PRIMES_MAX_CACHED)
+        return _binomial_from_primes(n, k, _PRIMES)
+    if k < _PRIME_MIN_K_SIEVED + (n >> 6):
+        return math.comb(n, k)
+    return _binomial_from_primes(n, k, _primes_upto(n))
+
+
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n (n >= 2) in increasing order, from an odd-only sieve."""
+    half = (n + 1) // 2  # entry i stands for 2i + 1
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, half, p)))
+    return [2, *compress(range(1, n + 1, 2), sieve)]
+
+
+def _binomial_from_primes(n: int, k: int, primes: list[int]) -> int:
+    """C(n, k) for 0 <= k <= n - k as the product of its prime powers;
+    `primes` holds every prime <= n in increasing order.
+
+    Legendre's formula gives the exponent of p as the sum over i of
+    n // p**i - k // p**i - (n - k) // p**i (Goetgheluck, Amer. Math. Monthly
+    94 (1987) 360). Above sqrt(n) only i = 1 is left, and the exponent is 1
+    exactly when n % p < k % p: the carry out of k + (n - k) in base p. So it
+    is 0 for n/2 < p <= n - k and 1 for n - k < p <= n. No big integer is
+    divided, and every factor p**e is at most n.
+    """
+    m = n - k
+    small = bisect_right(primes, math.isqrt(n))
+    factors = []
+    for p in primes[:small]:
+        e = 0
+        q = p
+        while q <= n:
+            e += n // q - k // q - m // q
+            q *= p
+        if e:
+            factors.append(p**e)
+    factors += [p for p in primes[small : bisect_right(primes, n // 2)] if n % p < k % p]
+    factors += primes[bisect_right(primes, m) : bisect_right(primes, n)]
+    return _product(factors, 0, len(factors))
+
+
+def _product(xs: list[int], lo: int, hi: int) -> int:
+    """xs[lo] * ... * xs[hi - 1], halved recursively so that the big
+    multiplications meet operands of equal size."""
+    if hi - lo <= 16:
+        return math.prod(xs[lo:hi])
+    mid = (lo + hi) // 2
+    return _product(xs, lo, mid) * _product(xs, mid, hi)
 
 
 def pochhammer(a: Fraction | int, k: int) -> Fraction:
@@ -216,9 +298,9 @@ def _sqrt_magnitude(num: int, den: int) -> int:
 
 
 def _digit_string(q: int) -> str:
-    """The decimal digits of q >= 0. Decimal's exact conversion has no digit
-    cap, unlike str(int) past 4300 digits, and leaves the interpreter-wide
-    limit alone."""
+    """str(q), a leading "-" included for negative q. Decimal's exact
+    conversion has no digit cap, unlike str(int) past 4300 digits, and leaves
+    the interpreter-wide limit alone."""
     return str(Decimal(q))
 
 

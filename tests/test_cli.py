@@ -228,6 +228,22 @@ class TestValuesPastIntStrLimit:
         assert decimal == "0.0104224925629355"
         assert self.parse_big(*pretty.split("/")) == self.expected()
 
+    def test_digit_limit_is_never_set(self, capsys, monkeypatch):
+        def refuse(limit):
+            raise AssertionError(f"set_int_max_str_digits({limit}) called")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+        code, record, _ = run_json(capsys, *self.ARGV)
+        assert code == 0
+        exact = record["exact"]["rational"]
+        assert len(exact["num"]) > 4300
+        parsed = Fraction(int(Decimal(exact["num"])), int(Decimal(exact["den"])))
+        assert parsed == self.expected()
+        code, out = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        num, den = out.strip().split(" = ")[0].split("/")
+        assert num == exact["num"] and den == exact["den"]
+
 class TestDigitsPastIntStrLimit:
     """--digits past 4300 renders: <1 0; 1 0 | 2 0> = sqrt(2/3) to 4301
     significant digits, in both formats, with the int-to-str cap untouched."""

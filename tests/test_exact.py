@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import ROUND_HALF_EVEN, Context, Decimal
@@ -107,6 +108,120 @@ def test_binomial_is_math_comb_across_the_old_table_boundary():
         assert binomial(n, -1) == binomial(n, n + 1) == 0
     with pytest.raises(ValueError, match="negative row"):
         binomial(-1, 0)
+
+
+def _prime_crossover(n):
+    """The least min(k, n - k) that takes the prime-exponent path on row n."""
+    if n <= exact._PRIMES_MAX_CACHED:
+        return exact._PRIME_MIN_K + n // 64
+    return exact._PRIME_MIN_K_SIEVED + n // 64
+
+
+def _row_check(n, ks):
+    assert [binomial(n, k) for k in ks] == [math.comb(n, k) if 0 <= k <= n else 0 for k in ks], n
+
+
+def test_binomial_takes_the_prime_path_from_the_crossover(monkeypatch):
+    calls = []
+    real = exact._binomial_from_primes
+
+    def counted(n, k, primes):
+        calls.append((n, k))
+        return real(n, k, primes)
+
+    monkeypatch.setattr(exact, "_binomial_from_primes", counted)
+    for n in (639, 640, 659):
+        for k in range(n + 1):
+            binomial(n, k)
+    assert calls == []
+    for n in (660, 704, 4096, 40000, 65536, 65537, 200000):
+        j = _prime_crossover(n)
+        for k in (j - 1, n - j + 1):
+            binomial(n, k)
+        assert calls == [], n
+        binomial(n, j)
+        binomial(n, n - j)
+        assert calls == [(n, j), (n, j)], n
+        calls.clear()
+
+
+def test_binomial_is_math_comb_on_rows_straddling_the_crossover():
+    for n in (639, 640, 659, 660, 703, 704, 1000):
+        _row_check(n, range(-1, n + 2))
+    for n in (65536, 65537):
+        j = _prime_crossover(n)
+        ks = [*range(j - 3, j + 4), n // 3, n // 2]
+        _row_check(n, ks + [n - k for k in ks])
+
+
+def test_binomial_is_math_comb_across_long_rows():
+    _row_check(4096, range(0, 4097, 3))
+    _row_check(40000, range(0, 40001, 797))
+    _row_check(40000, range(_prime_crossover(40000) - 2, 20001, 4001))
+
+
+def test_binomial_at_prime_powers_and_around_primes():
+    # every exponent of 2, 3 and 7 reaches its last Legendre term, and a
+    # prime row is its own largest prime factor
+    for n in (2**15, 3**10, 7**5, 39989, 39990, 39988, 65521, 65522, 65520, 100003, 100004, 100002):
+        j = _prime_crossover(n)
+        _row_check(n, [j, j + 1, n // 7, n // 3, n // 2, n - j, n - n // 3])
+
+
+def test_binomial_on_seeded_pairs_up_to_200000():
+    rng = random.Random(20161504)
+    pairs = []
+    for _ in range(300):
+        n = round(math.exp(rng.uniform(math.log(640), math.log(200000))))
+        j = round(math.exp(rng.uniform(math.log(64), math.log(n // 2))))
+        pairs.append((n, j if rng.random() < 0.5 else n - j))
+    on_prime_path = sum(min(k, n - k) >= _prime_crossover(n) for n, k in pairs)
+    above_cap = sum(n > exact._PRIMES_MAX_CACHED for n, _ in pairs)
+    assert on_prime_path >= 100 and above_cap >= 30
+    assert [binomial(n, k) for n, k in pairs] == [math.comb(n, k) for n, k in pairs]
+
+
+def test_binomial_prime_path_zero_convention_and_negative_row():
+    for n in (40000, 200000):
+        assert binomial(n, -1) == binomial(n, n + 1) == binomial(n, -n) == 0
+        with pytest.raises(ValueError, match="negative row"):
+            binomial(-n, n // 2)
+
+
+def test_prime_table_is_the_primes_up_to_its_cap():
+    primerange = pytest.importorskip("sympy").primerange
+    for n in range(2, 300):
+        assert exact._primes_upto(n) == list(primerange(2, n + 1))
+    binomial(40000, 20000)
+    assert exact._PRIMES == list(primerange(2, exact._PRIMES_MAX_CACHED + 1))
+
+
+def test_binomial_past_the_prime_cap():
+    binomial(40000, 20000)
+    table = list(exact._PRIMES)
+    assert table[-1] <= exact._PRIMES_MAX_CACHED
+    assert binomial(100003, 30011) == math.comb(100003, 30011)
+    assert exact._PRIMES == table
+
+
+def test_prime_table_fill_under_thread_switches():
+    # the table is filled without a lock on the first prime-path row; with a
+    # 1 us switch interval the fills interleave, and every reader must still
+    # see either no table or the whole one
+    args = [(40000, 20000), (39239, 10646), (4096, 2048), (65536, 1400)] * 4
+    expected = [math.comb(n, k) for n, k in args]
+    table = list(exact._primes_upto(exact._PRIMES_MAX_CACHED))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            del exact._PRIMES[:]
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda nk: binomial(*nk), args, timeout=60))
+            assert results == expected
+            assert exact._PRIMES == table
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_pochhammer_examples():
