@@ -41,7 +41,9 @@ __all__ = [
 
 
 class UnsupportedParameterRegimeError(ValueError):
-    """The 2F1 form of the generating function needs n3 - n1 - n2 + 1 >= 1."""
+    """Formerly raised when n3 - n1 - n2 + 1 < 1. The generating functions now
+    cover every law, so nothing raises it; it stays exported so that existing
+    `except` clauses keep working."""
 
 
 class DegenerateDistributionError(ValueError):
@@ -109,9 +111,16 @@ class PmfTable:
     entries: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple((int(x), Fraction(q)) for x, q in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if any(q < 0 for _, q in entries):
+        entries = self.entries
+        # a tuple of (int, Fraction) pairs, as binomial_convolve builds, is
+        # kept as it is; anything else is converted entry by entry
+        if type(entries) is not tuple or not all(
+            type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is Fraction
+            for e in entries
+        ):
+            entries = tuple((int(x), Fraction(q)) for x, q in entries)
+            object.__setattr__(self, "entries", entries)
+        if any(q.numerator < 0 for _, q in entries):
             raise ValueError("probabilities must be nonnegative")
         # summed on integers over the common denominator, not as Fractions
         # that reduce after every addition; the lcm is folded pairwise, since
@@ -146,19 +155,21 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
 
 
 def _pgf_series(params: HypergeomParams, argument: Fraction) -> Fraction:
-    """C(n3-n1,n2)/C(n3,n2) * 2F1(-n1, -n2; n3-n1-n2+1; argument), summed on
-    the integer kernel with the prefactor as first term over the normaliser.
+    """sum_x pmf(x) argument^x over the support, on the integer kernel.
 
-    n1, n2 >= 0 end the series at min(n1, n2); lower >= 1 leaves no pole.
+    The series starts at x0 = max(0, n1 + n2 - n3) with the first term
+    C(n1,x0) C(n3-n1,n2-x0) argument^x0 / C(n3,n2), built from binomials;
+    each later term is the previous one times the 2F1(-n1, -n2; n3-n1-n2+1)
+    ratio argument (n1-x+1)(n2-x+1) / (x (n3-n1-n2+x)). Its lower factor
+    n3-n1-n2+x is positive for every x > x0, so no law has a pole, and at
+    x0 = 0 this is C(n3-n1,n2)/C(n3,n2) * 2F1(-n1, -n2; n3-n1-n2+1; argument).
     """
     n1, n2, n3 = params.n1, params.n2, params.n3
-    lower = n3 - n1 - n2 + 1
-    if lower <= 0:
-        raise UnsupportedParameterRegimeError(
-            f"generating function needs n3 - n1 - n2 + 1 >= 1, got {lower}"
-        )
+    x0 = max(0, n1 + n2 - n3)
+    first_num = binomial(n1, x0) * binomial(n3 - n1, n2 - x0) * argument.numerator**x0
+    first_den = params._normaliser * argument.denominator**x0
     return _terminating_sum(
-        (-n1, -n2), (lower,), argument, 0, min(n1, n2), binomial(n3 - n1, n2), params._normaliser
+        (-n1, -n2), (n3 - n1 - n2 + 1,), argument, x0, min(n1, n2), first_num, first_den
     )
 
 
@@ -171,34 +182,50 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
     """M(t) = sum_x pmf(x) e^(t x) to `digits` significant digits.
 
     The pmf is exact; only e^(tx) is numeric. Equals G(e^t) by construction.
+    Each weight is the pmf's own integer numerator C(n1,x) C(n3-n1,n2-x) over
+    the law's normaliser C(n3,n2), divided once in decimal. The powers come
+    from one running product: e^(t x0) at the first support point, then
+    times e^t per later point, never past the last one, and e^t is computed
+    only when the support has a second point.
+
+    Precision: every exp and every product is correctly rounded, so each
+    step adds at most one unit in the last place to the running power's
+    relative error. With n support points the powers carry at most n units
+    of error; working at digits + 10 + len(str(n)) digits keeps that below
+    one unit at digits + 10, the budget of a fresh exp per point.
+
     Raises ValueError when t does not parse as a decimal or is not finite,
     and OverflowError when some e^(tx) exceeds the largest decimal.
     """
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
-    lower = params.n3 - params.n1 - params.n2 + 1
-    if lower <= 0:
-        raise UnsupportedParameterRegimeError(
-            f"generating function needs n3 - n1 - n2 + 1 >= 1, got {lower}"
-        )
     try:
         t_dec = t if isinstance(t, Decimal) else Decimal(str(t))
     except InvalidOperation:
         raise ValueError(f"t must be a finite decimal number, got {t!r}") from None
     if not t_dec.is_finite():
         raise ValueError(f"t must be a finite decimal number, got {t!r}")
-    with localcontext(Context(prec=digits + 10)) as ctx:
+    n1, n2, n3 = params.n1, params.n2, params.n3
+    support = params.support()
+    x0 = support.start
+    with localcontext(Context(prec=digits + 10 + len(str(len(support))))) as ctx:
+        normaliser = Decimal(params._normaliser)
         total = Decimal(0)
-        for x in params.support():
-            q = hypergeom_pmf(params, x)
-            weight = Decimal(q.numerator) / Decimal(q.denominator)
-            try:
-                total += weight * (t_dec * x).exp()
-            except Overflow:
-                raise OverflowError(
-                    f"mgf overflows at {digits} digits: e^(t*x) at t = {t_dec}, x = {x} "
-                    f"exceeds the largest decimal (exponent {ctx.Emax})"
-                ) from None
+        x = x0
+        try:
+            power = (t_dec * x0).exp()
+            for x in support:
+                if x > x0:
+                    if x == x0 + 1:
+                        step = t_dec.exp()
+                    power *= step
+                weight = Decimal(binomial(n1, x) * binomial(n3 - n1, n2 - x)) / normaliser
+                total += weight * power
+        except Overflow:
+            raise OverflowError(
+                f"mgf overflows at {digits} digits: e^(t*x) at t = {t_dec}, x = {x} "
+                f"exceeds the largest decimal (exponent {ctx.Emax})"
+            ) from None
     return Context(prec=digits).plus(total)
 
 

@@ -204,6 +204,9 @@ def run_distribution_identities(max_n3: int) -> SuiteReport:
                             str(expected_variance),
                             str(variance),
                         )
+                # the pgf covers every law, but this case count is part of
+                # the default report, so pgf(1) stays on laws whose support
+                # starts at 0
                 if n3 - n1 - n2 + 1 >= 1:
                     value = prob.hypergeom_pgf(params, 1)
                     if not rec.check(value == 1):

@@ -6,9 +6,10 @@ import dataclasses
 import math
 import pickle
 import random
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from cgexact.angular import DegenerateLabels
@@ -21,7 +22,6 @@ from cgexact.prob import (
     MismatchedPError,
     PmfTable,
     SupportTooSmallError,
-    UnsupportedParameterRegimeError,
     binomial_convolve,
     binomial_limit_tv,
     binomial_pmf,
@@ -44,6 +44,42 @@ def _comb(n: int, k: int) -> int:
 
 def _literal_pmf(n1: int, n2: int, n3: int, x: int) -> Fraction:
     return Fraction(_comb(n1, x) * _comb(n3 - n1, n2 - x), math.comb(n3, n2))
+
+
+def _per_point_mgf(params: HypergeomParams, t: str, digits: int) -> str:
+    """The mgf as it was first written: a fresh e^(t x) per support point over
+    the reduced pmf, at digits + 10 digits, rounded to `digits`."""
+    t_dec = Decimal(t)
+    with localcontext(Context(prec=digits + 10)):
+        total = Decimal(0)
+        for x in params.support():
+            q = _literal_pmf(params.n1, params.n2, params.n3, x)
+            total += Decimal(q.numerator) / Decimal(q.denominator) * (t_dec * x).exp()
+    return str(Context(prec=digits).plus(total))
+
+
+def _mpmath_mgf(params: HypergeomParams, t: str, digits: int) -> mpmath.mpf:
+    with mpmath.workdps(digits + 20):
+        total = mpmath.mpf(0)
+        for x in params.support():
+            q = _literal_pmf(params.n1, params.n2, params.n3, x)
+            total += mpmath.mpf(q.numerator) / q.denominator * mpmath.exp(mpmath.mpf(t) * x)
+        return total
+
+
+def _within_one_unit(got: Decimal, want: mpmath.mpf, digits: int) -> bool:
+    """|got - want| is at most one unit in the last of `digits` digits of got."""
+    with mpmath.workdps(digits + 20):
+        unit = mpmath.mpf(10) ** (got.adjusted() - digits + 1)
+        return abs(mpmath.mpf(str(got)) - want) <= unit
+
+
+# t values of the mgf sweeps: both signed zeros, tiny, moderate and large
+# magnitudes, and a 51-digit pi
+_MGF_TS = (
+    "0", "-0", "1e-20", "0.5", "-0.5", "1", "-1", "2.5", "-7", "0.693147", "31.4", "-31.4",
+    "3.14159265358979323846264338327950288419716939937510",
+)
 
 
 class TestParams:
@@ -92,6 +128,36 @@ class TestPmfTable:
             PmfTable(((1, HALF), (0, HALF)))
         with pytest.raises(ValueError):
             PmfTable(((0, Fraction(3, 2)), (1, Fraction(-1, 2))))
+
+    def test_exact_pairs_are_kept(self):
+        entries = ((0, Fraction(1, 4)), (1, Fraction(3, 4)))
+        assert PmfTable(entries).entries is entries
+
+    def test_other_entries_are_converted(self):
+        class Prob(Fraction):
+            pass
+
+        for entries in (
+            [[0, "1/4"], [1, Fraction(3, 4)]],
+            ((False, Fraction(1, 4)), (True, Fraction(3, 4))),
+            ((0, Prob(1, 4)), (1, Prob(3, 4))),
+            ((0, Fraction(1, 4)), [1, Fraction(3, 4)]),
+            iter(((0, Fraction(1, 4)), (1, Fraction(3, 4)))),
+        ):
+            table = PmfTable(entries)
+            assert table.entries == ((0, Fraction(1, 4)), (1, Fraction(3, 4)))
+            assert type(table.entries) is tuple
+            assert all(type(e) is tuple for e in table.entries)
+            assert all(type(x) is int and type(q) is Fraction for x, q in table.entries)
+        assert PmfTable(((4, 1),)).entries == ((4, Fraction(1)),)
+
+    def test_negative_probability_message_on_both_paths(self):
+        for entries in (
+            ((0, Fraction(3, 2)), (1, Fraction(-1, 2))),
+            ((0, "3/2"), (1, "-1/2")),
+        ):
+            with pytest.raises(ValueError, match="probabilities must be nonnegative"):
+                PmfTable(entries)
 
     def test_lookup(self):
         table = PmfTable(((0, Fraction(1, 4)), (1, Fraction(3, 4))))
@@ -166,8 +232,6 @@ class TestHypergeomPgf:
         for n3 in range(1, 12):
             for n1 in range(n3 + 1):
                 for n2 in range(n3 + 1):
-                    if n3 - n1 - n2 + 1 < 1:
-                        continue
                     assert hypergeom_pgf(HypergeomParams(n1, n2, n3), 1) == 1
 
     def test_closed_form_one_one_two(self):
@@ -176,25 +240,32 @@ class TestHypergeomPgf:
             assert hypergeom_pgf(params, t) == (1 + t) / 2
 
     def test_constant_term_is_pmf_at_zero(self):
-        for params in (HypergeomParams(5, 2, 10), HypergeomParams(3, 4, 9)):
+        for params in (HypergeomParams(5, 2, 10), HypergeomParams(3, 4, 9), HypergeomParams(5, 5, 6)):
             assert hypergeom_pgf(params, 0) == hypergeom_pmf(params, 0)
 
     def test_equals_power_sum(self):
-        # every law in the 2F1 regime with n3 <= 25, against the literal pmf
+        # every law with n3 <= 25, against the literal pmf, including those
+        # whose support starts above zero (n1 + n2 > n3)
         ts = (Fraction(-3, 2), Fraction(0), Fraction(2, 7), Fraction(5, 3), Fraction(7, 2))
         for n3 in range(26):
             for n1 in range(n3 + 1):
-                for n2 in range(n3 - n1 + 1):
+                for n2 in range(n3 + 1):
                     params = HypergeomParams(n1, n2, n3)
                     pmf = [(x, _literal_pmf(n1, n2, n3, x)) for x in params.support()]
                     for t in ts:
                         expected = sum((q * t**x for x, q in pmf), Fraction(0))
                         assert hypergeom_pgf(params, t) == expected
 
-    def test_unsupported_regime_rejected(self):
-        with pytest.raises(UnsupportedParameterRegimeError):
-            hypergeom_pgf(HypergeomParams(3, 3, 4), 1)
-        # pmf and moments still work in that regime
+    def test_support_above_zero_equals_power_sum(self):
+        # n3 - n1 - n2 + 1 < 1, where the 2F1 at x = 0 would have a pole
+        for n1, n2, n3 in ((3, 3, 4), (5, 5, 6), (4, 4, 4), (30, 29, 31)):
+            params = HypergeomParams(n1, n2, n3)
+            pmf = [(x, _literal_pmf(n1, n2, n3, x)) for x in params.support()]
+            for t in (Fraction(-3, 2), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 2)):
+                assert hypergeom_pgf(params, t) == sum((q * t**x for x, q in pmf), Fraction(0))
+        # 5/6 * (1/2)^4 + 1/6 * (1/2)^5
+        assert hypergeom_pgf(HypergeomParams(5, 5, 6), Fraction(1, 2)) == Fraction(11, 192)
+        # pmf and moments in that regime
         params = HypergeomParams(3, 3, 4)
         assert sum((hypergeom_pmf(params, x) for x in params.support()), Fraction(0)) == 1
         assert hypergeom_mean(params) == Fraction(9, 4)
@@ -218,15 +289,61 @@ class TestHypergeomMgf:
         mean = Decimal(1) / Decimal(2)
         assert abs(derivative - mean) / mean < Decimal("1e-6")
 
-    def test_regime_and_digits_validation(self):
-        with pytest.raises(UnsupportedParameterRegimeError):
-            hypergeom_mgf(HypergeomParams(3, 3, 4), Decimal(0), 10)
+    def test_support_above_zero_and_digits_validation(self):
+        # n3 - n1 - n2 + 1 < 1: the mgf is the sum over the support all the same
+        for params in (HypergeomParams(3, 3, 4), HypergeomParams(5, 5, 6)):
+            for t in ("0", "0.5", "-1.25"):
+                value = hypergeom_mgf(params, Decimal(t), 15)
+                assert _within_one_unit(value, _mpmath_mgf(params, t, 15), 15)
         with pytest.raises(ValueError):
             hypergeom_mgf(HypergeomParams(1, 1, 2), Decimal(0), 0)
 
     def test_overflow_names_the_cause(self):
-        with pytest.raises(OverflowError, match=r"e\^\(t\*x\)"):
+        # e^0 at x = 0 is fine; e^t, first needed at x = 1, overflows
+        with pytest.raises(OverflowError, match=r"e\^\(t\*x\) at t = 1E\+400000, x = 1 "):
             hypergeom_mgf(HypergeomParams(3, 2, 10), Decimal("1e400000"), 15)
+        # support {2, 3}: the first power e^(2t) already overflows
+        with pytest.raises(OverflowError, match=r", x = 2 "):
+            hypergeom_mgf(HypergeomParams(3, 3, 4), Decimal("1e400000"), 15)
+
+    def test_power_stops_at_the_last_support_point(self):
+        # e^(2 * 10^6) fits in a decimal, e^(3 * 10^6) does not
+        params = HypergeomParams(3, 2, 10)
+        value = hypergeom_mgf(params, Decimal("1e6"), 15)
+        assert str(value) == _per_point_mgf(params, "1e6", 15)
+        assert _within_one_unit(value, _mpmath_mgf(params, "1e6", 15), 15)
+
+    def test_one_point_support_needs_no_e_to_the_t(self):
+        assert str(hypergeom_mgf(HypergeomParams(0, 5, 10), Decimal("1e400000"), 15)) == "1"
+
+    def test_t_zero_string(self):
+        assert str(hypergeom_mgf(HypergeomParams(5, 2, 10), Decimal(0), 15)) == "1.00000000000000"
+        assert str(hypergeom_mgf(HypergeomParams(5, 2, 10), "-0", 15)) == "1.00000000000000"
+
+    def test_equals_per_point_strings_seeded(self):
+        # the running power and the per-point exps round to the same string
+        rng = random.Random(20261019)
+        for _ in range(300):
+            n3 = rng.randint(1, 3000)
+            n2, n1 = rng.randint(0, min(n3, 300)), rng.randint(0, n3)
+            params = HypergeomParams(n1, n2, n3)
+            t, digits = rng.choice(_MGF_TS), rng.randint(1, 50)
+            assert str(hypergeom_mgf(params, t, digits)) == _per_point_mgf(params, t, digits)
+
+    @pytest.mark.parametrize("t", ["-4.6e6", "-1e6", "1e-400000", "-1e-400000", "1e-999999"])
+    def test_equals_per_point_strings_at_extreme_t(self, t):
+        params = HypergeomParams(3, 2, 10)
+        assert str(hypergeom_mgf(params, t, 15)) == _per_point_mgf(params, t, 15)
+
+    def test_within_one_unit_of_mpmath_seeded(self):
+        rng = random.Random(20261020)
+        for _ in range(200):
+            n3 = rng.randint(1, 500)
+            n2, n1 = rng.randint(0, min(n3, 100)), rng.randint(0, n3)
+            params = HypergeomParams(n1, n2, n3)
+            t, digits = rng.choice(_MGF_TS), rng.randint(1, 40)
+            value = hypergeom_mgf(params, t, digits)
+            assert _within_one_unit(value, _mpmath_mgf(params, t, digits), digits)
 
     @pytest.mark.parametrize(
         "t", [" abc", "", "1/2", "Infinity", " -Infinity", "NaN", "sNaN", Decimal("NaN")]
