@@ -14,6 +14,7 @@ import argparse
 import json
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import verify as verify_suites
@@ -31,6 +32,7 @@ from .prob import (
     BinomialParams,
     DegenerateLabels,
     HypergeomParams,
+    PmfTable,
     binomial_convolve,
     binomial_limit_tv,
     binomial_pmf,
@@ -46,31 +48,27 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-# argparse reads a bare "-1/2" as an option string; a leading space shields
-# negative half-integers and rationals, and the value parsers strip it.
-_NEGATIVE_VALUE = re.compile(r"-\d+(/\d+)?")
+# argparse reads a token such as "-1/2", "-1e-5" or "-4,8" as an option
+# string. A leading space shields every token that starts like a negative
+# number, except the plain decimals ("-0.5") that argparse passes through as
+# they are; the value parsers ignore the space.
+_NEGATIVE_VALUE = re.compile(r"-(?!\d*\.\d+\Z)\.?\d")
 
-
-class _CommandError(Exception):
-    """Input rejected: parse failure, structural violation, or domain error."""
-
-
-def _shield_negatives(argv: list[str]) -> list[str]:
-    return [" " + tok if _NEGATIVE_VALUE.fullmatch(tok) else tok for tok in argv]
+_LABEL_NAMES = ("a", "alpha", "b", "beta", "c", "gamma")
 
 
 def _parse_half(text: str, name: str) -> HalfInt:
     try:
         return HalfInt.parse(text)
     except ValueError:
-        raise _CommandError(f"cannot parse {name} = {text!r} as a half-integer") from None
+        raise ValueError(f"cannot parse {name} = {text!r} as a half-integer") from None
 
 
 def _parse_fraction(text: str, name: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise _CommandError(f"cannot parse {name} = {text!r} as a rational") from None
+        raise ValueError(f"cannot parse {name} = {text!r} as a rational") from None
 
 
 def _echo(argv: list[str]) -> str:
@@ -84,36 +82,39 @@ def _fraction_json(q: Fraction) -> dict:
     return {"num": _digit_string(q.numerator), "den": _digit_string(q.denominator)}
 
 
-def _sqrt_exact(value: SignedSqrtRational) -> dict:
-    return {"sign": value.sign, "radicand": _fraction_json(value.radicand)}
+def _exact_fields(value: SignedSqrtRational | Fraction, digits: int) -> dict:
+    """The exact value as decimal-digit strings and the decimal derived from it."""
+    if isinstance(value, SignedSqrtRational):
+        exact = {"sign": value.sign, "radicand": _fraction_json(value.radicand)}
+        return {"exact": exact, "decimal": sqrt_to_decimal(value, digits)}
+    exact = {"rational": _fraction_json(value)}
+    return {"exact": exact, "decimal": rational_to_decimal(value, digits)}
 
 
-def _rational_exact(q: Fraction) -> dict:
-    return {"rational": _fraction_json(q)}
-
-
-def _sqrt_record(command: str, value: SignedSqrtRational, digits: int, detail: str = "") -> dict:
-    return {
-        "command": command,
-        "status": "zero" if value.is_zero else "ok",
-        "exact": _sqrt_exact(value),
-        "decimal": sqrt_to_decimal(value, digits),
-        "detail": detail,
-    }
-
-
-def _rational_record(command: str, q: Fraction, digits: int, detail: str = "") -> dict:
-    return {
-        "command": command,
-        "status": "zero" if q == 0 else "ok",
-        "exact": _rational_exact(q),
-        "decimal": rational_to_decimal(q, digits),
-        "detail": detail,
-    }
-
-
-def _error_record(command: str, message: str) -> dict:
-    return {"command": command, "status": "error", "exact": None, "decimal": "", "detail": message}
+def _record(command: str, value: object, digits: int, detail: str = "", **fields) -> dict:
+    """The record of one result, shaped by its type: a coefficient or a
+    rational carries its exact value, a PmfTable one row per outcome, and a
+    Decimal (the mgf) only its decimal. `fields` follow the status."""
+    zero = False
+    if isinstance(value, PmfTable):
+        body = {
+            "table": [
+                {
+                    "outcome": k,
+                    "probability": _fraction_json(q),
+                    "decimal": rational_to_decimal(q, digits),
+                }
+                for k, q in value.entries
+            ]
+        }
+    elif isinstance(value, Decimal):
+        body = {"exact": None, "decimal": str(value)}
+        detail = "mgf is evaluated numerically over the exact pmf"
+    else:
+        body = _exact_fields(value, digits)
+        zero = value.is_zero if isinstance(value, SignedSqrtRational) else value == 0
+    status = "zero" if zero else "ok"
+    return {"command": command, "status": status, **fields, **body, "detail": detail}
 
 
 def _pretty_exact(exact: dict | None) -> str:
@@ -129,181 +130,100 @@ def _pretty_exact(exact: dict | None) -> str:
     return f"{'-' if sign < 0 else '+'}sqrt({num}/{den})"
 
 
-def _zero_detail(labels: CgLabels) -> str:
-    return selection_rule_violation(labels) or "coefficient vanishes: alternating sum is zero"
-
-
-def _labels_from_args(args: argparse.Namespace) -> CgLabels:
-    fields = [
-        ("a", args.a), ("alpha", args.alpha), ("b", args.b),
-        ("beta", args.beta), ("c", args.c), ("gamma", args.gamma),
-    ]
-    parsed = {name: _parse_half(text, name) for name, text in fields}
-    try:
-        return CgLabels(**parsed)
-    except ValueError as exc:
-        raise _CommandError(str(exc)) from None
-
-
 def _ladder_value(labels: CgLabels) -> SignedSqrtRational:
     steps = (labels.a.twice + labels.b.twice - labels.gamma.twice) // 2
     vector = cg_ladder_stretched(labels.a, labels.b, steps)
     return vector.amplitude(labels.alpha, labels.beta)
 
 
-def _coefficient_record(args: argparse.Namespace, argv: list[str], to_3jm: bool) -> dict:
-    labels = _labels_from_args(args)
-    command = _echo(argv)
-    digits = args.digits
+# `--backend all` runs every backend in this order; racah's value is canonical
+_BACKENDS = {"racah": cg_racah, "3f2": cg_3f2, "ladder": _ladder_value}
+
+
+def _cmd_coefficient(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
+    """cg, or 3jm when args.to_3jm, from one backend or all of them."""
+    labels = CgLabels(**{name: _parse_half(getattr(args, name), name) for name in _LABEL_NAMES})
     stretched = labels.c.twice == labels.a.twice + labels.b.twice
-
-    def convert(value: SignedSqrtRational) -> SignedSqrtRational:
-        if not to_3jm:
-            return value
-        try:
-            return cg_to_3jm(labels, value)
-        except ValueError as exc:
-            raise _CommandError(str(exc)) from None
-
-    if args.backend == "all":
-        values = {"racah": convert(cg_racah(labels)), "3f2": convert(cg_3f2(labels))}
-        detail = ""
-        if stretched:
-            values["ladder"] = convert(_ladder_value(labels))
-        else:
+    if args.backend == "ladder" and not stretched:
+        raise ValueError("ladder backend requires c = a + b")
+    names = list(_BACKENDS) if args.backend == "all" else [args.backend]
+    values = {}
+    detail = ""
+    for name in names:
+        if name == "ladder" and not stretched:
             detail = "ladder backend skipped: requires c = a + b"
-        agreement = len({(v.sign, v.radicand) for v in values.values()}) == 1
-        canonical = values["racah"]
-        if canonical.is_zero and not detail:
-            detail = _zero_detail(labels)
-        return {
-            "command": command,
-            "status": "zero" if canonical.is_zero else "ok",
-            "exact": _sqrt_exact(canonical),
-            "decimal": sqrt_to_decimal(canonical, digits),
-            "backends": {
-                name: {"exact": _sqrt_exact(v), "decimal": sqrt_to_decimal(v, digits)}
-                for name, v in values.items()
-            },
-            "agreement": agreement,
-            "detail": detail,
-        }
-    if args.backend == "ladder":
-        if not stretched:
-            raise _CommandError("ladder backend requires c = a + b")
-        value = convert(_ladder_value(labels))
-    elif args.backend == "racah":
-        value = convert(cg_racah(labels))
-    else:
-        value = convert(cg_3f2(labels))
-    detail = _zero_detail(labels) if value.is_zero else ""
-    return _sqrt_record(command, value, digits, detail)
+            continue
+        value = _BACKENDS[name](labels)
+        values[name] = cg_to_3jm(labels, value) if args.to_3jm else value
+    value = values[names[0]]
+    if value.is_zero and not detail:
+        detail = (
+            selection_rule_violation(labels) or "coefficient vanishes: alternating sum is zero"
+        )
+    record = _record(_echo(argv), value, args.digits, detail)
+    if args.backend == "all":
+        # the comparison goes between the decimal and the detail, which stays last
+        record.update(
+            backends={name: _exact_fields(v, args.digits) for name, v in values.items()},
+            agreement=len({(v.sign, v.radicand) for v in values.values()}) == 1,
+            detail=record.pop("detail"),
+        )
+    return record, EXIT_OK
 
 
-def _cmd_cg(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
-    return _coefficient_record(args, argv, to_3jm=False), EXIT_OK
-
-
-def _cmd_3jm(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
-    return _coefficient_record(args, argv, to_3jm=True), EXIT_OK
-
-
-def _hypergeom_params(args: argparse.Namespace) -> HypergeomParams:
-    try:
-        return HypergeomParams(args.n1, args.n2, args.n3)
-    except ValueError as exc:
-        raise _CommandError(str(exc)) from None
+# Each dist subcommand once: its flags in --help order, the string flags among
+# them with their help text (every other flag is an integer), and what it
+# computes from the parsed arguments.
+_LAW_FLAGS = ("n1", "n2", "n3")
+_DIST_COMMANDS = {
+    "hypergeom-pmf": (
+        _LAW_FLAGS + ("x",), {},
+        lambda a: hypergeom_pmf(HypergeomParams(a.n1, a.n2, a.n3), a.x),
+    ),
+    "binomial-pmf": (
+        ("trials", "p", "r"), {"p": None},
+        lambda a: binomial_pmf(BinomialParams(a.trials, _parse_fraction(a.p, "p")), a.r),
+    ),
+    "pgf": (
+        _LAW_FLAGS + ("t",), {"t": "rational argument, 'num/den'"},
+        lambda a: hypergeom_pgf(HypergeomParams(a.n1, a.n2, a.n3), _parse_fraction(a.t, "t")),
+    ),
+    "mgf": (
+        _LAW_FLAGS + ("t",), {"t": "decimal argument"},
+        lambda a: hypergeom_mgf(HypergeomParams(a.n1, a.n2, a.n3), a.t, a.digits),
+    ),
+    "mean": (_LAW_FLAGS, {}, lambda a: hypergeom_mean(HypergeomParams(a.n1, a.n2, a.n3))),
+    "variance": (_LAW_FLAGS, {}, lambda a: hypergeom_variance(HypergeomParams(a.n1, a.n2, a.n3))),
+    "convolve": (
+        ("trials1", "trials2", "p"), {"p": None},
+        lambda a: binomial_convolve(
+            BinomialParams(a.trials1, p := _parse_fraction(a.p, "p")), BinomialParams(a.trials2, p)
+        ),
+    ),
+    "conditional": (
+        ("l1", "k1", "l2", "k2", "p"), {"p": None},
+        lambda a: conditional_probability(
+            DegenerateLabels(a.l1, a.k1, a.l2, a.k2), _parse_fraction(a.p, "p")
+        ),
+    ),
+}
 
 
 def _cmd_dist(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
-    command = _echo(argv)
-    digits = args.digits
-    sub = args.dist_command
-    try:
-        if sub == "hypergeom-pmf":
-            value = hypergeom_pmf(_hypergeom_params(args), args.x)
-            return _rational_record(command, value, digits), EXIT_OK
-        if sub == "binomial-pmf":
-            p = _parse_fraction(args.p, "p")
-            value = binomial_pmf(BinomialParams(args.trials, p), args.r)
-            return _rational_record(command, value, digits), EXIT_OK
-        if sub == "pgf":
-            t = _parse_fraction(args.t, "t")
-            value = hypergeom_pgf(_hypergeom_params(args), t)
-            return _rational_record(command, value, digits), EXIT_OK
-        if sub == "mgf":
-            value = hypergeom_mgf(_hypergeom_params(args), args.t, digits)
-            record = {
-                "command": command,
-                "status": "ok",
-                "exact": None,
-                "decimal": str(value),
-                "detail": "mgf is evaluated numerically over the exact pmf",
-            }
-            return record, EXIT_OK
-        if sub == "mean":
-            value = hypergeom_mean(_hypergeom_params(args))
-            return _rational_record(command, value, digits), EXIT_OK
-        if sub == "variance":
-            value = hypergeom_variance(_hypergeom_params(args))
-            return _rational_record(command, value, digits), EXIT_OK
-        if sub == "convolve":
-            p = _parse_fraction(args.p, "p")
-            table = binomial_convolve(
-                BinomialParams(args.trials1, p), BinomialParams(args.trials2, p)
-            )
-            record = {
-                "command": command,
-                "status": "ok",
-                "table": [
-                    {
-                        "outcome": k,
-                        "probability": _fraction_json(q),
-                        "decimal": rational_to_decimal(q, digits),
-                    }
-                    for k, q in table.entries
-                ],
-                "detail": "",
-            }
-            return record, EXIT_OK
-        if sub == "conditional":
-            p = _parse_fraction(args.p, "p")
-            try:
-                labels = DegenerateLabels(args.l1, args.k1, args.l2, args.k2)
-            except ValueError as exc:
-                raise _CommandError(str(exc)) from None
-            value = conditional_probability(labels, p)
-            return _rational_record(command, value, digits), EXIT_OK
-    except (ValueError, ArithmeticError) as exc:
-        raise _CommandError(str(exc)) from None
-    raise _CommandError(f"unknown dist subcommand {sub!r}")
+    return _record(_echo(argv), args.compute(args), args.digits), EXIT_OK
 
 
 def _cmd_limit(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
-    command = _echo(argv)
     p = _parse_fraction(args.p, "p")
     try:
         n3_list = [int(tok) for tok in args.n3.split(",") if tok.strip()]
     except ValueError:
-        raise _CommandError(f"cannot parse n3 list {args.n3!r}") from None
+        raise ValueError(f"cannot parse n3 list {args.n3!r}") from None
     if not n3_list:
-        raise _CommandError("n3 list is empty")
-    try:
-        results = binomial_limit_tv(p, args.n2, n3_list)
-    except (ValueError, ArithmeticError) as exc:
-        raise _CommandError(str(exc)) from None
-    records = [
-        {
-            "command": command,
-            "status": "zero" if tv == 0 else "ok",
-            "n3": n3,
-            "exact": _rational_exact(tv),
-            "decimal": rational_to_decimal(tv, args.digits),
-            "detail": "",
-        }
-        for n3, tv in results
-    ]
-    return records, EXIT_OK
+        raise ValueError("n3 list is empty")
+    command = _echo(argv)
+    results = binomial_limit_tv(p, args.n2, n3_list)
+    return [_record(command, tv, args.digits, n3=n3) for n3, tv in results], EXIT_OK
 
 
 _SUITE_RUNNERS = {
@@ -369,17 +289,6 @@ def _render_text(payload: object) -> str:
     return body + ("".join(f"\n{line}" for line in extras))
 
 
-def _add_label_arguments(parser: argparse.ArgumentParser) -> None:
-    for name in ("a", "alpha", "b", "beta", "c", "gamma"):
-        parser.add_argument(name, help=f"half-integer {name} ('k' or 'k/2')")
-    parser.add_argument(
-        "--backend",
-        choices=("racah", "3f2", "ladder", "all"),
-        default="racah",
-        help="evaluation backend (ladder applies only when c = a+b)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=15, help="significant digits for decimals")
@@ -395,51 +304,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cg_parser = sub.add_parser("cg", parents=[common], help="Clebsch-Gordan coefficient")
-    _add_label_arguments(cg_parser)
-    cg_parser.set_defaults(handler=_cmd_cg)
-
-    threejm_parser = sub.add_parser(
-        "3jm", parents=[common], help="3jm symbol with lower row (alpha, beta, -gamma)"
-    )
-    _add_label_arguments(threejm_parser)
-    threejm_parser.set_defaults(handler=_cmd_3jm)
+    for name, help_text, to_3jm in (
+        ("cg", "Clebsch-Gordan coefficient", False),
+        ("3jm", "3jm symbol with lower row (alpha, beta, -gamma)", True),
+    ):
+        coefficient_parser = sub.add_parser(name, parents=[common], help=help_text)
+        for label in _LABEL_NAMES:
+            coefficient_parser.add_argument(label, help=f"half-integer {label} ('k' or 'k/2')")
+        coefficient_parser.add_argument(
+            "--backend",
+            choices=(*_BACKENDS, "all"),
+            default="racah",
+            help="evaluation backend (ladder applies only when c = a+b)",
+        )
+        coefficient_parser.set_defaults(handler=_cmd_coefficient, to_3jm=to_3jm)
 
     dist_parser = sub.add_parser("dist", help="exact distribution operations")
     dist_sub = dist_parser.add_subparsers(dest="dist_command", required=True)
-
-    def hyp_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n1", type=int, required=True)
-        p.add_argument("--n2", type=int, required=True)
-        p.add_argument("--n3", type=int, required=True)
-
-    p = dist_sub.add_parser("hypergeom-pmf", parents=[common])
-    hyp_flags(p)
-    p.add_argument("--x", type=int, required=True)
-    p = dist_sub.add_parser("binomial-pmf", parents=[common])
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--r", type=int, required=True)
-    p = dist_sub.add_parser("pgf", parents=[common])
-    hyp_flags(p)
-    p.add_argument("--t", required=True, help="rational argument, 'num/den'")
-    p = dist_sub.add_parser("mgf", parents=[common])
-    hyp_flags(p)
-    p.add_argument("--t", required=True, help="decimal argument")
-    p = dist_sub.add_parser("mean", parents=[common])
-    hyp_flags(p)
-    p = dist_sub.add_parser("variance", parents=[common])
-    hyp_flags(p)
-    p = dist_sub.add_parser("convolve", parents=[common])
-    p.add_argument("--trials1", type=int, required=True)
-    p.add_argument("--trials2", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p = dist_sub.add_parser("conditional", parents=[common])
-    p.add_argument("--l1", type=int, required=True)
-    p.add_argument("--k1", type=int, required=True)
-    p.add_argument("--l2", type=int, required=True)
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--p", required=True)
+    for name, (flags, string_flags, compute) in _DIST_COMMANDS.items():
+        p = dist_sub.add_parser(name, parents=[common])
+        for flag in flags:
+            if flag in string_flags:
+                p.add_argument(f"--{flag}", required=True, help=string_flags[flag])
+            else:
+                p.add_argument(f"--{flag}", type=int, required=True)
+        p.set_defaults(compute=compute)
     dist_parser.set_defaults(handler=_cmd_dist)
 
     limit_parser = sub.add_parser(
@@ -470,11 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(_shield_negatives(argv))
+    args = parser.parse_args([" " + tok if _NEGATIVE_VALUE.match(tok) else tok for tok in argv])
     try:
         payload, code = args.handler(args, argv)
-    except (_CommandError, ValueError, ArithmeticError) as exc:
-        payload, code = _error_record(_echo(argv), str(exc)), EXIT_USAGE
+    except (ValueError, ArithmeticError) as exc:
+        payload = {
+            "command": _echo(argv), "status": "error", "exact": None, "decimal": "",
+            "detail": str(exc),
+        }
+        code = EXIT_USAGE
         print(f"cgexact: {exc}", file=sys.stderr)
     if args.fmt == "json":
         print(json.dumps(payload, indent=2))

@@ -154,28 +154,24 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
     )
 
 
-def _pgf_series(params: HypergeomParams, argument: Fraction) -> Fraction:
-    """sum_x pmf(x) argument^x over the support, on the integer kernel.
+def hypergeom_pgf(params: HypergeomParams, t: Fraction | int) -> Fraction:
+    """G(t) = sum_x pmf(x) t^x over the support, on the integer kernel.
 
     The series starts at x0 = max(0, n1 + n2 - n3) with the first term
-    C(n1,x0) C(n3-n1,n2-x0) argument^x0 / C(n3,n2), built from binomials;
-    each later term is the previous one times the 2F1(-n1, -n2; n3-n1-n2+1)
-    ratio argument (n1-x+1)(n2-x+1) / (x (n3-n1-n2+x)). Its lower factor
-    n3-n1-n2+x is positive for every x > x0, so no law has a pole, and at
-    x0 = 0 this is C(n3-n1,n2)/C(n3,n2) * 2F1(-n1, -n2; n3-n1-n2+1; argument).
+    C(n1,x0) C(n3-n1,n2-x0) t^x0 / C(n3,n2), built from binomials; each later
+    term is the previous one times the 2F1(-n1, -n2; n3-n1-n2+1) ratio
+    t (n1-x+1)(n2-x+1) / (x (n3-n1-n2+x)). Its lower factor n3-n1-n2+x is
+    positive for every x > x0, so no law has a pole, and at x0 = 0 this is
+    C(n3-n1,n2)/C(n3,n2) * 2F1(-n1, -n2; n3-n1-n2+1; t).
     """
+    t = Fraction(t)
     n1, n2, n3 = params.n1, params.n2, params.n3
     x0 = max(0, n1 + n2 - n3)
-    first_num = binomial(n1, x0) * binomial(n3 - n1, n2 - x0) * argument.numerator**x0
-    first_den = params._normaliser * argument.denominator**x0
+    first_num = binomial(n1, x0) * binomial(n3 - n1, n2 - x0) * t.numerator**x0
+    first_den = params._normaliser * t.denominator**x0
     return _terminating_sum(
-        (-n1, -n2), (n3 - n1 - n2 + 1,), argument, x0, min(n1, n2), first_num, first_den
+        (-n1, -n2), (n3 - n1 - n2 + 1,), t, x0, min(n1, n2), first_num, first_den
     )
-
-
-def hypergeom_pgf(params: HypergeomParams, t: Fraction | int) -> Fraction:
-    """G(t) = sum_x pmf(x) t^x, via the terminating 2F1 form."""
-    return _pgf_series(params, Fraction(t))
 
 
 def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) -> Decimal:
@@ -316,15 +312,17 @@ def binomial_limit_tv(
     """Exact total variation distance between the hypergeometric law with
     n1 = p*n3 and the binomial(n2, p) law, for each n3 in the sequence.
 
-    n3 must be a multiple of denominator(p) so that n1 is an exact integer,
-    and n2 must fit inside min(n1, n3 - n1) so both laws share the full
-    support [0, n2].
+    p must lie in [0, 1], n3 must be a multiple of denominator(p) so that n1
+    is an exact integer, and n2 must fit inside min(n1, n3 - n1) so both laws
+    share the full support [0, n2].
 
     For p = u/v each distance is one Fraction: the integer sum over x of
     |C(n1,x) C(n3-n1,n2-x) v^n2 - _pmf_numerator(n2,p,x) C(n3,n2)|, over the
     common denominator 2 C(n3,n2) v^n2.
     """
     p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
     scale = p.denominator**n2
     binomial_nums = [_pmf_numerator(n2, p, x) for x in range(n2 + 1)]
     results = []

@@ -3,6 +3,7 @@ and round-tripping."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from decimal import Decimal
@@ -13,7 +14,7 @@ import pytest
 from cgexact import angular
 from cgexact.cli import main
 from cgexact.exact import SignedSqrtRational, sqrt_to_decimal
-from cgexact.prob import HypergeomParams, hypergeom_pmf
+from cgexact.prob import HypergeomParams, hypergeom_mgf, hypergeom_pmf
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -365,6 +366,48 @@ class TestLimitCommand:
         assert "10" in record["detail"]
 
 
+class TestNegativeValues:
+    """Negative values in decimal, exponent or list form reach the library;
+    the command echo keeps the argv as typed."""
+
+    @pytest.mark.parametrize("t", ["-1e-5", "-4.6e6", "-1E+2", "-.5e1", "-5."])
+    def test_mgf_exponent_and_decimal_forms(self, capsys, t):
+        argv = ["dist", "mgf", "--n1", "3", "--n2", "2", "--n3", "10", "--t", t, "--format", "json"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert code == 0 and captured.err == ""
+        assert record["command"] == "cgexact " + " ".join(argv)
+        assert record["status"] == "ok"
+        assert record["decimal"] == str(hypergeom_mgf(HypergeomParams(3, 2, 10), t, 15))
+        if t == "-1e-5":
+            assert record["decimal"] == "0.999994000036667"
+
+    def test_limit_negative_n3_in_a_list(self, capsys):
+        argv = ["limit", "--p", "1/2", "--n2", "1", "--n3", "-4,8", "--format", "json"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert code == 2
+        assert record["command"] == "cgexact " + " ".join(argv)
+        assert record["status"] == "error"
+        assert record["detail"] == "n3 must be positive, got -4"
+        assert captured.err == "cgexact: n3 must be positive, got -4\n"
+
+    @pytest.mark.parametrize("p", ["3/2", "-1/2"])
+    def test_limit_p_outside_unit_interval(self, capsys, p):
+        for fmt in ("json", "text"):
+            code = main(["limit", "--p", p, "--n2", "0", "--n3", "4", "--format", fmt])
+            captured = capsys.readouterr()
+            message = f"p must lie in [0, 1], got {p}"
+            assert code == 2
+            assert captured.err == f"cgexact: {message}\n"
+            if fmt == "json":
+                assert json.loads(captured.out)["detail"] == message
+            else:
+                assert captured.out == f"error: {message}\n"
+
+
 class TestVerifyCommand:
     def test_passing_suites_exit_0(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -455,3 +498,72 @@ class TestOutputContract:
         )
         assert code == 2
         assert record["status"] == "error"
+
+
+# Bytes of whole invocations, pinned: sha256 of "<exit code>\n<stdout>\0<stderr>",
+# first 16 hex digits, for the JSON and the text format of each argv. Text
+# output and JSON key order are covered by nothing else; one ok and one error
+# case per subcommand, every backend, and argparse's own usage errors, whose
+# wrapping is fixed by COLUMNS.
+PINNED_BYTES = [
+    ("cg 1/2 1/2 1/2 -1/2 1 0", "b2cb6229a294742b", "c6ef867760e02d81"),
+    ("cg 1 0 1 0 2 0 --backend 3f2", "e6a76ed48ed2f4e9", "56d9e860e281d214"),
+    ("cg 1 0 1 0 2 0 --backend ladder --digits 40", "c1000a0c4e845b21", "0cd5d1ba9edd62f4"),
+    ("cg 3/2 1/2 1 -1 5/2 -1/2 --backend all", "3b8a7a9a0a8177be", "3b03598a75e0aefe"),
+    ("cg 1 1 1 -1 1 0 --backend all", "ac04f03bf021b225", "ad99e35143b98504"),
+    ("cg 1 0 1 0 1 0 --backend all", "daee9237afdd60ee", "1a797a4a1a0dc86f"),
+    ("cg 1/2 1/2 1/2 1/2 1 0", "5e9c730d3c309b4d", "132df2c60990efe9"),
+    ("cg 1 0 1 0 1 0 --backend ladder", "454b4988a1128582", "98424a3ecc3293fc"),
+    ("cg 1/2 3/2 1/2 -1/2 1 0", "cf330a49d8480128", "24d805f1feef9a80"),
+    ("cg x 1/2 1/2 -1/2 1 0", "47417fbe2bf2f043", "44e354453e11cff6"),
+    ("cg 1 0 1 0 2 0 --digits 0", "2edd78d22eed0487", "e550b4bcde3940d6"),
+    ("3jm 1 1 1 -1 0 0", "51787893469c2c3f", "dfb4c9dbe4babc1c"),
+    ("3jm 1 0 1 0 2 0 --backend all", "32eaf55970d1a92d", "5b1330f6be1cbc4e"),
+    ("3jm 1/2 1/2 1/2 -1/2 1/2 1/2 --backend all", "c2356c4a95f06cd8", "cbfec633b89a356a"),
+    ("3jm 1 1 1 -1 0 junk", "2c749f08619cf447", "a06336cc50fa0d0e"),
+    ("dist hypergeom-pmf --n1 5 --n2 2 --n3 10 --x 1", "4a07024c22604fae", "00bb3000e82b822d"),
+    ("dist hypergeom-pmf --n1 11 --n2 2 --n3 10 --x 1", "6703ff9a45ae11a3", "3fb0bcef0bb49e28"),
+    ("dist binomial-pmf --trials 3 --p 1/3 --r 2", "d5f158a492eacd1d", "e23e132cf5a555d3"),
+    ("dist binomial-pmf --trials 3 --p 1/0 --r 2", "030226eb83401131", "a9a6735fd4ba0672"),
+    ("dist pgf --n1 5 --n2 2 --n3 10 --t -1/2", "d3e3642666af5300", "2023d80fbcd9dfb4"),
+    ("dist pgf --n1 5 --n2 2 --n3 10 --t x", "8b15272ef55521a5", "7d6b45e39686356e"),
+    ("dist mgf --n1 3 --n2 2 --n3 10 --t -0.5", "25259af8b63ac9ec", "52fc01d2bca6bb2b"),
+    ("dist mgf --n1 3 --n2 2 --n3 10 --t 1e400000", "cede069dfa187fca", "285f7d426a1b2f7d"),
+    ("dist mean --n1 5 --n2 4 --n3 10", "435ed45031f6365a", "8146bd260eff6874"),
+    ("dist mean --n1 5 --n2 11 --n3 10", "3acb03dcc9542283", "430f55a47d30a870"),
+    ("dist variance --n1 5 --n2 4 --n3 10", "35bd07f6959ca75c", "b8bf4aac16c27bbd"),
+    ("dist variance --n1 0 --n2 0 --n3 1", "c23747c5808b6a1d", "6c7d73028cd3080c"),
+    ("dist convolve --trials1 2 --trials2 3 --p 1/3 --digits 5", "142f123c343fcac3", "f3d1ba1494b078ef"),
+    ("dist convolve --trials1 2 --trials2 3 --p 2", "5e430a1f9b44bd0b", "15dc283f3e33b254"),
+    ("dist conditional --l1 2 --k1 1 --l2 2 --k2 1 --p 1/3", "be24fcbdd535db7f", "b8bf4aac16c27bbd"),
+    ("dist conditional --l1 -1 --k1 1 --l2 2 --k2 1 --p 1/3", "d2e52311155e7aef", "d56ebd255ea39c3c"),
+    ("dist mean --n1 5 --n2 x --n3 10", "40e3a2dff5164e6b", "40e3a2dff5164e6b"),
+    ("limit --p 1/2 --n2 2 --n3 10,100,1000", "7ac2c344c4833c41", "338ed6a1029c11c7"),
+    ("limit --p 1/2 --n2 0 --n3 10", "f7482d3aaea50f92", "10b9136509e8f4ba"),
+    ("limit --p 1/3 --n2 2 --n3 10", "0f7ebee5f40f73bf", "41a46aa491772463"),
+    ("limit --p 1/2 --n2 2 --n3 ,", "46426cf0f97a0b37", "ea19fc6204a6f450"),
+    ("limit --p 1/2 --n2 1 --n3 -4", "215cbcb4c6fc3a99", "33a82b6bcbef0c93"),
+    ("verify --max-twice-ab 1 --max-l 2 --max-n3 4", "5abf2b3ad4230529", "fe680a89e3cb4b91"),
+    ("verify --suite degenerate --max-l 2", "c0051f3cde936516", "665e2f0ad9ca6b8f"),
+    ("verify --suite bogus", "c31cbf14e34ebb71", "c31cbf14e34ebb71"),
+]
+
+
+def _bytes_digest(code: object, out: str, err: str) -> str:
+    return hashlib.sha256(f"{code}\n{out}\0{err}".encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "argv, fmt, digest",
+    [pytest.param(argv, "json", j, id=f"json:{argv}") for argv, j, _ in PINNED_BYTES]
+    + [pytest.param(argv, "text", t, id=f"text:{argv}") for argv, _, t in PINNED_BYTES],
+)
+def test_bytes_pinned(capsys, monkeypatch, argv, fmt, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    args = argv.split() + (["--format", "json"] if fmt == "json" else [])
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert _bytes_digest(code, captured.out, captured.err) == digest

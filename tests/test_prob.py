@@ -532,6 +532,23 @@ class TestBinomialLimit:
         with pytest.raises(SupportTooSmallError):
             binomial_limit_tv(HALF, 6, [10])
 
+    @pytest.mark.parametrize(
+        "p, shown", [(Fraction(3, 2), "3/2"), (Fraction(-1, 2), "-1/2"), ("5/4", "5/4")]
+    )
+    def test_p_outside_unit_interval_rejected(self, p, shown):
+        # named as the cause, before any n3 is looked at, as BinomialParams words it
+        for sequence in ([4], [], [3]):
+            with pytest.raises(ValueError) as excinfo:
+                binomial_limit_tv(p, 0, sequence)
+            assert type(excinfo.value) is ValueError
+            assert str(excinfo.value) == f"p must lie in [0, 1], got {shown}"
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 3/2$"):
+            BinomialParams(0, Fraction(3, 2))
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_p_at_the_ends_accepted(self, p):
+        assert binomial_limit_tv(p, 0, [4]) == [(4, Fraction(0))]
+
     def test_equals_fraction_formula(self):
         def oracle(p, n2, n3_sequence):
             # pointwise Fraction differences, halved at the end
