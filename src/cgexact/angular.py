@@ -62,10 +62,6 @@ class HalfInt:
     twice: int
 
     @classmethod
-    def from_int(cls, value: int) -> "HalfInt":
-        return cls(2 * value)
-
-    @classmethod
     def parse(cls, text: str) -> "HalfInt":
         """Accepts "k" (integer) and "k/2" (halves) forms; "3/2" means twice = 3."""
         s = text.strip()
@@ -76,11 +72,6 @@ class HalfInt:
     @property
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
 
     def __add__(self, other: "HalfInt") -> "HalfInt":
         return HalfInt(self.twice + other.twice)

@@ -51,7 +51,8 @@ EXIT_USAGE = 2
 # argparse reads a token such as "-1/2", "-1e-5" or "-4,8" as an option
 # string. A leading space shields every token that starts like a negative
 # number, except the plain decimals ("-0.5") that argparse passes through as
-# they are; the value parsers ignore the space.
+# they are. main takes the space off again once argparse is done, so values
+# and messages keep the token as typed.
 _NEGATIVE_VALUE = re.compile(r"-(?!\d*\.\d+\Z)\.?\d")
 
 _LABEL_NAMES = ("a", "alpha", "b", "beta", "c", "gamma")
@@ -226,16 +227,10 @@ def _cmd_limit(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
     return [_record(command, tv, args.digits, n3=n3) for n3, tv in results], EXIT_OK
 
 
-_SUITE_RUNNERS = {
-    "agreement": lambda args: verify_suites.run_backend_agreement(args.max_twice_ab),
-    "degenerate": lambda args: verify_suites.run_degenerate_identity(args.max_l),
-    "distributions": lambda args: verify_suites.run_distribution_identities(args.max_n3),
-}
-
-
 def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
-    names = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
-    reports = [_SUITE_RUNNERS[name](args) for name in names]
+    suites = [s for name, s in verify_suites.SUITES.items() if args.suite in (name, "all")]
+    sizes = [suite.checked(getattr(args, suite.param)) for suite in suites]
+    reports = [suite.run(size) for suite, size in zip(suites, sizes)]
     all_passed = all(r.passed for r in reports)
     record = {
         "command": _echo(argv),
@@ -342,14 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser = sub.add_parser(
         "verify", parents=[common], help="run identity verification suites"
     )
-    verify_parser.add_argument(
-        "--suite",
-        choices=("agreement", "degenerate", "distributions", "all"),
-        default="all",
-    )
-    verify_parser.add_argument("--max-twice-ab", type=int, default=5)
-    verify_parser.add_argument("--max-l", type=int, default=10)
-    verify_parser.add_argument("--max-n3", type=int, default=30)
+    verify_parser.add_argument("--suite", choices=(*verify_suites.SUITES, "all"), default="all")
+    for suite in verify_suites.SUITES.values():
+        flag = "--" + suite.param.replace("_", "-")
+        verify_parser.add_argument(flag, type=int, default=suite.default)
     verify_parser.add_argument("--output", help="also write the JSON report to this path")
     verify_parser.set_defaults(handler=_cmd_verify)
 
@@ -359,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args([" " + tok if _NEGATIVE_VALUE.match(tok) else tok for tok in argv])
+    tokens = [" " + tok if _NEGATIVE_VALUE.match(tok) else tok for tok in argv]
+    args = parser.parse_args(tokens)
+    typed = dict(zip(tokens, argv))
+    for name, value in vars(args).items():
+        if isinstance(value, str) and value in typed:
+            setattr(args, name, typed[value])
     try:
         payload, code = args.handler(args, argv)
     except (ValueError, ArithmeticError) as exc:

@@ -186,12 +186,6 @@ class SignedSqrtRational:
         return _ZERO
 
     @classmethod
-    def from_rational(cls, value: Fraction | int) -> "SignedSqrtRational":
-        """Embed a plain rational: sign(value) * sqrt(value**2)."""
-        value = Fraction(value)
-        return cls(_sign_of(value), value * value)
-
-    @classmethod
     def from_scaled_sqrt(cls, coeff: Fraction | int, radicand: Fraction | int) -> "SignedSqrtRational":
         """The value coeff * sqrt(radicand), radicand >= 0."""
         coeff = Fraction(coeff)
@@ -228,13 +222,6 @@ class SignedSqrtRational:
 
     def __neg__(self) -> "SignedSqrtRational":
         return SignedSqrtRational(-self.sign, self.radicand)
-
-    def scale(self, coeff: Fraction | int) -> "SignedSqrtRational":
-        """Multiply by a plain rational."""
-        coeff = Fraction(coeff)
-        if coeff == 0 or self.sign == 0:
-            return SignedSqrtRational.zero()
-        return SignedSqrtRational(self.sign * _sign_of(coeff), self.radicand * coeff * coeff)
 
     def scale_sqrt(self, factor: Fraction | int) -> "SignedSqrtRational":
         """Multiply by sqrt(factor), factor >= 0."""

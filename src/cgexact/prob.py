@@ -27,7 +27,6 @@ __all__ = [
     "MismatchedPError",
     "PmfTable",
     "SupportTooSmallError",
-    "UnsupportedParameterRegimeError",
     "binomial_convolve",
     "binomial_limit_tv",
     "binomial_pmf",
@@ -38,12 +37,6 @@ __all__ = [
     "hypergeom_pmf",
     "hypergeom_variance",
 ]
-
-
-class UnsupportedParameterRegimeError(ValueError):
-    """Formerly raised when n3 - n1 - n2 + 1 < 1. The generating functions now
-    cover every law, so nothing raises it; it stays exported so that existing
-    `except` clauses keep working."""
 
 
 class DegenerateDistributionError(ValueError):
@@ -135,12 +128,6 @@ class PmfTable:
         if any(x >= y for x, y in zip(outcomes, outcomes[1:])):
             raise ValueError("outcomes must be strictly increasing")
 
-    def probability(self, outcome: int) -> Fraction:
-        for x, q in self.entries:
-            if x == outcome:
-                return q
-        return Fraction(0)
-
 
 def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
     """C(n1,x) C(n3-n1,n2-x) / C(n3,n2); zero outside the support.
@@ -191,7 +178,9 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
     one unit at digits + 10, the budget of a fresh exp per point.
 
     Raises ValueError when t does not parse as a decimal or is not finite,
-    and OverflowError when some e^(tx) exceeds the largest decimal.
+    OverflowError when some e^(tx) exceeds the largest decimal, and
+    ArithmeticError when the sum underflows below the smallest normal
+    decimal.
     """
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
@@ -222,6 +211,13 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
                 f"mgf overflows at {digits} digits: e^(t*x) at t = {t_dec}, x = {x} "
                 f"exceeds the largest decimal (exponent {ctx.Emax})"
             ) from None
+        # every term is positive, so a sum that is not a normal decimal has
+        # lost its digits to underflow
+        if not total.is_normal():
+            raise ArithmeticError(
+                f"mgf underflows at {digits} digits: the sum at t = {t_dec} from x0 = {x0} "
+                f"is below the smallest normal decimal (exponent {ctx.Emin})"
+            )
     return Context(prec=digits).plus(total)
 
 

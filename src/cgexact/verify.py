@@ -5,19 +5,26 @@ integers), compares public operations of the angular/prob modules against
 each other, and returns a structured report. The report layer performs no
 mathematics of its own. A passing case is only counted; its failure row
 (input, expected, actual) is formatted only when the check fails.
+
+Every suite is declared once, as a row of `SUITES`; adding a suite means one
+case generator, yielding (ok, row()) per case, plus one row. The CLI builds
+its `--suite` choices and size flags from the rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import angular, prob
 from .angular import CgLabels, DegenerateLabels, HalfInt
 
 __all__ = [
+    "SUITES",
     "Failure",
     "SuiteReport",
     "run_backend_agreement",
@@ -26,6 +33,7 @@ __all__ = [
 ]
 
 _FAILURE_CAP = 20
+_MAX_TRIALS = 12  # convolution closure's largest trial count
 
 
 @dataclass(frozen=True)
@@ -64,40 +72,7 @@ class SuiteReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-class _Recorder:
-    """Counts cases and keeps the first failures up to the report cap."""
-
-    def __init__(self) -> None:
-        self.cases = 0
-        self.failure_count = 0
-        self.failures: list[Failure] = []
-
-    def check(self, ok: bool) -> bool:
-        """Count one case and pass its outcome through."""
-        self.cases += 1
-        return ok
-
-    def fail(self, input_desc: str, expected: str, actual: str) -> None:
-        """Record the case just checked as failed."""
-        self.failure_count += 1
-        if len(self.failures) < _FAILURE_CAP:
-            self.failures.append(Failure(input_desc, expected, actual))
-
-    def report(self, name: str, ranges: str) -> SuiteReport:
-        failures = sorted(self.failures, key=lambda f: f.input)
-        return SuiteReport(name, ranges, self.cases, self.failure_count, failures)
-
-
-def run_backend_agreement(max_twice_ab: int) -> SuiteReport:
-    """Exact (sign, radicand) agreement of the Racah and 3F2 backends.
-
-    Sweeps every structurally valid label set with 2a, 2b <= max_twice_ab
-    and 2c <= 2a + 2b + 2; the margin past the triangle bound exercises
-    agreement on selection-rule zeros as well.
-    """
-    if max_twice_ab < 1:
-        raise ValueError(f"max_twice_ab must be >= 1, got {max_twice_ab}")
-    rec = _Recorder()
+def _agreement_cases(max_twice_ab: int) -> Iterator:
     for ta in range(max_twice_ab + 1):
         for tb in range(max_twice_ab + 1):
             for tal in range(-ta, ta + 1, 2):
@@ -107,34 +82,18 @@ def run_backend_agreement(max_twice_ab: int) -> SuiteReport:
                             labels = CgLabels.from_twice(ta, tal, tb, tbe, tc, tg)
                             racah = angular.cg_racah(labels)
                             series = angular.cg_3f2(labels)
-                            if not rec.check(racah == series):
-                                rec.fail(
-                                    f"a={HalfInt(ta)} alpha={HalfInt(tal)} b={HalfInt(tb)} "
-                                    f"beta={HalfInt(tbe)} c={HalfInt(tc)} gamma={HalfInt(tg)}",
-                                    str(racah),
-                                    str(series),
-                                )
-    return rec.report(
-        "backend_agreement",
-        f"2a, 2b <= {max_twice_ab}; 2c <= 2a+2b+2; all projections",
-    )
+                            yield racah == series, lambda: (
+                                f"a={HalfInt(ta)} alpha={HalfInt(tal)} b={HalfInt(tb)} "
+                                f"beta={HalfInt(tbe)} c={HalfInt(tc)} gamma={HalfInt(tg)}",
+                                str(racah), str(series),
+                            )
 
 
-def run_degenerate_identity(max_l: int) -> SuiteReport:
-    """The stretched coefficient against all of its independent expressions.
-
-    For every (l1, k1, l2, k2) with l1, l2 <= max_l: the Racah radicand must
-    equal the three-binomial ratio and the p = 1/3 conditional probability,
-    the sign must be +1, and the ladder-oracle amplitude must match exactly.
-    """
-    if max_l < 1:
-        raise ValueError(f"max_l must be >= 1, got {max_l}")
-    rec = _Recorder()
+def _degenerate_cases(max_l: int) -> Iterator:
     one_third = Fraction(1, 3)
     for l1 in range(max_l + 1):
         for l2 in range(max_l + 1):
-            spin1, spin2 = HalfInt(l1), HalfInt(l2)
-            for steps, vector in enumerate(angular.cg_ladder_rows(spin1, spin2)):
+            for steps, vector in enumerate(angular.cg_ladder_rows(HalfInt(l1), HalfInt(l2))):
                 for k1 in range(max(0, steps - l2), min(l1, steps) + 1):
                     k2 = steps - k1
                     labels = DegenerateLabels(l1, k1, l2, k2)
@@ -147,26 +106,14 @@ def run_degenerate_identity(max_l: int) -> SuiteReport:
                         and coefficient.radicand == ratio == conditional
                         and amplitude == coefficient
                     )
-                    if not rec.check(ok):
-                        rec.fail(
-                            f"l1={l1} k1={k1} l2={l2} k2={k2}",
-                            f"sign=+1 radicand={ratio}",
-                            f"cg={coefficient} conditional={conditional} ladder={amplitude}",
-                        )
-    return rec.report("degenerate_identity", f"l1, l2 <= {max_l}; all k1, k2")
+                    yield ok, lambda: (
+                        f"l1={l1} k1={k1} l2={l2} k2={k2}",
+                        f"sign=+1 radicand={ratio}",
+                        f"cg={coefficient} conditional={conditional} ladder={amplitude}",
+                    )
 
 
-def run_distribution_identities(max_n3: int) -> SuiteReport:
-    """Normalization, moments, pgf normalization, and convolution closure.
-
-    Sweeps all (n1, n2, n3) with n3 <= max_n3, then convolution closure for
-    trial counts up to min(12, max_n3) with p in {1/2, 1/3, 3/10}. The sums
-    over the pmf are literal sums of hypergeom_pmf values, taken on integer
-    numerators over the lcm of their denominators.
-    """
-    if max_n3 < 2:
-        raise ValueError(f"max_n3 must be >= 2, got {max_n3}")
-    rec = _Recorder()
+def _distribution_cases(max_n3: int) -> Iterator:
     for n3 in range(max_n3 + 1):
         for n1 in range(n3 + 1):
             for n2 in range(n3 + 1):
@@ -181,37 +128,31 @@ def run_distribution_identities(max_n3: int) -> SuiteReport:
                     common = math.lcm(common, q.denominator)
                 scaled = [q.numerator * (common // q.denominator) for q in pmf]
                 total = sum(scaled)
-                if not rec.check(total == common):
-                    rec.fail(
-                        f"n1={n1} n2={n2} n3={n3} pmf-sum", "1", str(Fraction(total, common))
-                    )
+                yield total == common, lambda: (
+                    f"n1={n1} n2={n2} n3={n3} pmf-sum", "1", str(Fraction(total, common))
+                )
                 if n3 >= 1:
                     expected_mean = prob.hypergeom_mean(params)
                     mean = Fraction(sum(x * s for x, s in zip(support, scaled)), common)
-                    if not rec.check(mean == expected_mean):
-                        rec.fail(
-                            f"n1={n1} n2={n2} n3={n3} mean", str(expected_mean), str(mean)
-                        )
+                    yield mean == expected_mean, lambda: (
+                        f"n1={n1} n2={n2} n3={n3} mean", str(expected_mean), str(mean)
+                    )
                 if n3 >= 2:
                     fact2 = sum(x * (x - 1) * s for x, s in zip(support, scaled))
                     # E[X(X-1)] + mean - mean^2 with mean = a/b, over common * b^2
                     a, b = expected_mean.numerator, expected_mean.denominator
                     variance = Fraction(fact2 * b * b + (a * b - a * a) * common, common * b * b)
                     expected_variance = prob.hypergeom_variance(params)
-                    if not rec.check(variance == expected_variance):
-                        rec.fail(
-                            f"n1={n1} n2={n2} n3={n3} variance",
-                            str(expected_variance),
-                            str(variance),
-                        )
+                    yield variance == expected_variance, lambda: (
+                        f"n1={n1} n2={n2} n3={n3} variance", str(expected_variance), str(variance)
+                    )
                 # the pgf covers every law, but this case count is part of
                 # the default report, so pgf(1) stays on laws whose support
                 # starts at 0
                 if n3 - n1 - n2 + 1 >= 1:
                     value = prob.hypergeom_pgf(params, 1)
-                    if not rec.check(value == 1):
-                        rec.fail(f"n1={n1} n2={n2} n3={n3} pgf(1)", "1", str(value))
-    max_trials = min(12, max_n3)
+                    yield value == 1, lambda: (f"n1={n1} n2={n2} n3={n3} pgf(1)", "1", str(value))
+    max_trials = min(_MAX_TRIALS, max_n3)
     for trials1 in range(max_trials + 1):
         for trials2 in range(max_trials + 1):
             for p in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 10)):
@@ -219,17 +160,90 @@ def run_distribution_identities(max_n3: int) -> SuiteReport:
                     prob.BinomialParams(trials1, p), prob.BinomialParams(trials2, p)
                 )
                 merged = prob.BinomialParams(trials1 + trials2, p)
-                ok = all(
-                    q == prob.binomial_pmf(merged, k) for k, q in table.entries
+                yield all(q == prob.binomial_pmf(merged, k) for k, q in table.entries), lambda: (
+                    f"convolve trials1={trials1} trials2={trials2} p={p}",
+                    "binomial pmf with summed trials",
+                    "pointwise mismatch",
                 )
-                if not rec.check(ok):
-                    rec.fail(
-                        f"convolve trials1={trials1} trials2={trials2} p={p}",
-                        "binomial pmf with summed trials",
-                        "pointwise mismatch",
-                    )
-    return rec.report(
-        "distribution_identities",
-        f"n3 <= {max_n3}, all valid (n1, n2); convolution trials <= {max_trials}, "
-        "p in {1/2, 1/3, 3/10}",
-    )
+
+
+class _Suite(NamedTuple):
+    name: str
+    param: str
+    default: int
+    least: int
+    cases: Callable[[int], Iterator[tuple[bool, Callable[[], tuple[str, str, str]]]]]
+    ranges: Callable[[int], str]
+
+    def checked(self, size: int) -> int:
+        if size < self.least:
+            raise ValueError(f"{self.param} must be >= {self.least}, got {size}")
+        return size
+
+    def run(self, size: int) -> SuiteReport:
+        # the public runner, looked up at call time so that a wrapper rebound
+        # on this module (a tracer, a monkeypatch) sees the call
+        return globals()[f"run_{self.name}"](size)
+
+    def report(self, size: int) -> SuiteReport:
+        """Count the cases and keep the first failures, sorted by input."""
+        self.checked(size)
+        cases = failure_count = 0
+        failures: list[Failure] = []
+        for ok, row in self.cases(size):
+            cases += 1
+            if not ok:
+                failure_count += 1
+                if len(failures) < _FAILURE_CAP:
+                    failures.append(Failure(*row()))
+        failures.sort(key=lambda f: f.input)
+        return SuiteReport(self.name, self.ranges(size), cases, failure_count, failures)
+
+
+# Every suite, keyed by its CLI name, in report order.
+SUITES = {
+    "agreement": _Suite(
+        "backend_agreement", "max_twice_ab", 5, 1, _agreement_cases,
+        lambda n: f"2a, 2b <= {n}; 2c <= 2a+2b+2; all projections",
+    ),
+    "degenerate": _Suite(
+        "degenerate_identity", "max_l", 10, 1, _degenerate_cases,
+        lambda n: f"l1, l2 <= {n}; all k1, k2",
+    ),
+    "distributions": _Suite(
+        "distribution_identities", "max_n3", 30, 2, _distribution_cases,
+        lambda n: f"n3 <= {n}, all valid (n1, n2); convolution trials <= "
+        f"{min(_MAX_TRIALS, n)}, p in {{1/2, 1/3, 3/10}}",
+    ),
+}
+
+
+def run_backend_agreement(max_twice_ab: int) -> SuiteReport:
+    """Exact (sign, radicand) agreement of the Racah and 3F2 backends.
+
+    Sweeps every structurally valid label set with 2a, 2b <= max_twice_ab
+    and 2c <= 2a + 2b + 2; the margin past the triangle bound exercises
+    agreement on selection-rule zeros as well.
+    """
+    return SUITES["agreement"].report(max_twice_ab)
+
+
+def run_degenerate_identity(max_l: int) -> SuiteReport:
+    """The stretched coefficient against all of its independent expressions.
+
+    For every (l1, k1, l2, k2) with l1, l2 <= max_l: the Racah radicand must
+    equal the three-binomial ratio and the p = 1/3 conditional probability,
+    the sign must be +1, and the ladder-oracle amplitude must match exactly.
+    """
+    return SUITES["degenerate"].report(max_l)
+
+
+def run_distribution_identities(max_n3: int) -> SuiteReport:
+    """Normalization, moments, pgf normalization, and convolution closure.
+
+    Sweeps all (n1, n2, n3) with n3 <= max_n3, then convolution closure for
+    trial counts up to min(12, max_n3) with p in {1/2, 1/3, 3/10}. The sums
+    over the pmf are literal sums of hypergeom_pmf values, taken on integer
+    numerators over the lcm of their denominators.
+    """
+    return SUITES["distributions"].report(max_n3)

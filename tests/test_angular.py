@@ -48,7 +48,7 @@ class TestHalfInt:
 
     def test_arithmetic_and_str(self):
         three_halves = HalfInt(3)
-        one = HalfInt.from_int(1)
+        one = HalfInt(2)
         assert (three_halves + one).twice == 5
         assert (three_halves - one) == HalfInt(1)
         assert -three_halves == HalfInt(-3)
@@ -56,9 +56,7 @@ class TestHalfInt:
         assert str(three_halves) == "3/2"
         assert str(HalfInt(-4)) == "-2"
         assert not three_halves.is_integer
-        assert one.is_integer and one.as_int() == 1
-        with pytest.raises(ValueError):
-            three_halves.as_int()
+        assert one.is_integer
 
     def test_roundtrip_through_text(self):
         for twice in range(-9, 10):

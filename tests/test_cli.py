@@ -305,6 +305,43 @@ class TestMgfOverflow:
         assert "overflows" in captured.err
 
 
+class TestMgfUnderflow:
+    """A sum below the smallest normal decimal is a usage error that names the
+    underflow, t and x0, in both formats; tiny sums above it still render."""
+
+    @staticmethod
+    def argv(n1, n2, n3, t, fmt):
+        return ["dist", "mgf", "--n1", n1, "--n2", n2, "--n3", n3, "--t", t, "--format", fmt]
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_underflow_exits_2(self, capsys, fmt):
+        code = main(self.argv("5", "5", "6", "-4.6e6", fmt))
+        captured = capsys.readouterr()
+        message = captured.err.removeprefix("cgexact: ").rstrip("\n")
+        assert code == 2
+        assert "underflows" in message and "t = -4.6E+6 from x0 = 4 " in message
+        if fmt == "json":
+            record = json.loads(captured.out)
+            assert record["status"] == "error" and record["detail"] == message
+        else:
+            assert captured.out == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "law, t, decimal",
+        [(("5", "5", "6"), "-2e5", "2.16419381971783E-347436"),
+         (("3", "2", "10"), "-4.6e6", "0.466666666666667")],
+    )
+    def test_tiny_sums_render(self, capsys, fmt, law, t, decimal):
+        code = main(self.argv(*law, t, fmt))
+        out = capsys.readouterr().out
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["decimal"] == decimal
+        else:
+            assert out.startswith(f"(no exact value) = {decimal}\n")
+
+
 class TestMgfBadT:
     """A t that does not parse, or is not finite, is a usage error that
     names t, in both formats."""
@@ -408,6 +445,26 @@ class TestNegativeValues:
                 assert captured.out == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["cg", "-1/2x", "0", "1", "0", "1", "0"], "cannot parse a = '-1/2x' as a half-integer"),
+         (["dist", "pgf", "--n1", "5", "--n2", "2", "--n3", "10", "--t", "-1/0"],
+          "cannot parse t = '-1/0' as a rational"),
+         (["limit", "--p", "-1/2x", "--n2", "2", "--n3", "10"],
+          "cannot parse p = '-1/2x' as a rational")],
+    )
+    def test_parse_messages_quote_the_token_as_typed(self, capsys, fmt, argv, message):
+        code = main([*argv, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"cgexact: {message}\n"
+        if fmt == "json":
+            assert json.loads(captured.out)["detail"] == message
+        else:
+            assert captured.out == f"error: {message}\n"
+
+
 class TestVerifyCommand:
     def test_passing_suites_exit_0(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -441,6 +498,29 @@ class TestVerifyCommand:
         assert code == 1
         assert record["passed"] is False
         assert record["status"] == "error"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_sizes_are_checked_before_any_suite_runs(self, capsys, monkeypatch, fmt):
+        calls = []
+        real = angular.cg_racah
+        monkeypatch.setattr(angular, "cg_racah", lambda labels: calls.append(1) or real(labels))
+        # the first size in suite order that is too small is named
+        for sizes, message in (
+            (["--max-n3", "1"], "max_n3 must be >= 2, got 1"),
+            (["--max-l", "0", "--max-n3", "1"], "max_l must be >= 1, got 0"),
+        ):
+            code = main(["verify", *sizes, "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err == f"cgexact: {message}\n"
+        assert calls == []
+
+    def test_output_path_keeps_the_name_as_typed(self, capsys, monkeypatch, tmp_path):
+        # "-1.json" starts like a negative number, so argparse sees it shielded
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--suite", "degenerate", "--max-l", "1", "--output", "-1.json"]) == 0
+        capsys.readouterr()
+        assert [path.name for path in tmp_path.iterdir()] == ["-1.json"]
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -546,6 +626,7 @@ PINNED_BYTES = [
     ("verify --max-twice-ab 1 --max-l 2 --max-n3 4", "5abf2b3ad4230529", "fe680a89e3cb4b91"),
     ("verify --suite degenerate --max-l 2", "c0051f3cde936516", "665e2f0ad9ca6b8f"),
     ("verify --suite bogus", "c31cbf14e34ebb71", "c31cbf14e34ebb71"),
+    ("verify --help", "ba8fc4753a99c8a1", "ba8fc4753a99c8a1"),
 ]
 
 

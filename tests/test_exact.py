@@ -263,12 +263,6 @@ class TestSignedSqrtRational:
         assert a != SignedSqrtRational(-1, Fraction(4, 9))
         assert a != SignedSqrtRational(1, Fraction(2, 3))
 
-    def test_from_rational(self):
-        assert SignedSqrtRational.from_rational(Fraction(-2, 3)) == SignedSqrtRational(
-            -1, Fraction(4, 9)
-        )
-        assert SignedSqrtRational.from_rational(0) == SignedSqrtRational.zero()
-
     def test_from_scaled_sqrt(self):
         # -3 * sqrt(1/2) = -sqrt(9/2)
         v = SignedSqrtRational.from_scaled_sqrt(Fraction(-3), Fraction(1, 2))
@@ -306,7 +300,6 @@ class TestSignedSqrtRational:
         b = SignedSqrtRational(-1, Fraction(2, 3))
         assert a * b == SignedSqrtRational(-1, Fraction(1, 3))
         assert -a == SignedSqrtRational(-1, Fraction(1, 2))
-        assert a.scale(Fraction(-2)) == SignedSqrtRational(-1, Fraction(2))
         assert a.scale_sqrt(Fraction(1, 3)) == SignedSqrtRational(1, Fraction(1, 6))
         assert (a * SignedSqrtRational.zero()).is_zero
 

@@ -159,11 +159,6 @@ class TestPmfTable:
             with pytest.raises(ValueError, match="probabilities must be nonnegative"):
                 PmfTable(entries)
 
-    def test_lookup(self):
-        table = PmfTable(((0, Fraction(1, 4)), (1, Fraction(3, 4))))
-        assert table.probability(1) == Fraction(3, 4)
-        assert table.probability(5) == 0
-
 
 
 def test_pmf_table_sum_check_over_mixed_denominators():
@@ -305,6 +300,20 @@ class TestHypergeomMgf:
         # support {2, 3}: the first power e^(2t) already overflows
         with pytest.raises(OverflowError, match=r", x = 2 "):
             hypergeom_mgf(HypergeomParams(3, 3, 4), Decimal("1e400000"), 15)
+
+    def test_underflow_names_the_cause(self):
+        # support {4, 5}: the whole sum falls below the smallest normal decimal
+        with pytest.raises(ArithmeticError, match=r"underflows .* t = -4\.6E\+6 from x0 = 4 "):
+            hypergeom_mgf(HypergeomParams(5, 5, 6), Decimal("-4.6e6"), 15)
+
+    def test_tiny_sums_above_underflow(self):
+        params = HypergeomParams(5, 5, 6)
+        value = hypergeom_mgf(params, Decimal("-2e5"), 15)
+        assert str(value) == "2.16419381971783E-347436"
+        assert _within_one_unit(value, _mpmath_mgf(params, "-2e5", 15), 15)
+        # every term but x = 0 underflows; the sum is its weight, 21/45
+        value = hypergeom_mgf(HypergeomParams(3, 2, 10), Decimal("-4.6e6"), 15)
+        assert str(value) == "0.466666666666667"
 
     def test_power_stops_at_the_last_support_point(self):
         # e^(2 * 10^6) fits in a decimal, e^(3 * 10^6) does not

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgexact import angular, prob
+from cgexact import angular, prob, verify
 from cgexact.cli import main
 from cgexact.exact import SignedSqrtRational
 from cgexact.verify import (
@@ -52,7 +52,7 @@ def test_lcm_folds_leave_no_live_blocks():
     # an argument tuple unpacked into math.lcm outlives the call on CPython's
     # tuple free lists; the pairwise folds allocate nothing that stays live
     sites = _lcm_call_sites(prob.PmfTable.__post_init__) | _lcm_call_sites(
-        run_distribution_identities
+        verify._distribution_cases
     )
     assert len(sites) == 2
     tracemalloc.start()
