@@ -242,46 +242,35 @@ class SignedSqrtRational:
 _ZERO = SignedSqrtRational(0, Fraction(0))
 
 
-def _pow10(e: int) -> int:
-    return 10**e
+def _magnitude_floor(num: int, den: int) -> int:
+    """A lower bound on the mag with 10**(mag-1) <= num/den < 10**mag (num,
+    den > 0), at most 2 low."""
+    # 2**(b-1) < num/den < 2**(b+1) for b the bit-length difference, and the
+    # constant is log10(2) rounded down to 10 digits, so both claims hold
+    # until |b| passes a billion bits. Bit lengths have no digit limit.
+    return (num.bit_length() - den.bit_length() - 1) * 3010299956 // 10**10
 
 
-def _lt_pow10(num: int, den: int, e: int) -> bool:
-    """num/den < 10**e for positive integers num, den."""
-    if e >= 0:
-        return num < den * _pow10(e)
-    return num * _pow10(-e) < den
+def _round_half_even(q: int, mag: int, digits: int, inexact: bool) -> tuple[int, int]:
+    """Round x to `digits` significant digits, half-even, in one pass.
 
-
-def _pow10_le(e: int, num: int, den: int) -> bool:
-    """10**e <= num/den for positive integers num, den."""
-    if e >= 0:
-        return den * _pow10(e) <= num
-    return den <= num * _pow10(-e)
-
-
-def _magnitude(num: int, den: int) -> int:
-    """The unique mag with 10**(mag-1) <= num/den < 10**mag (num, den > 0)."""
-    # 2**(b-1) < num/den < 2**(b+1) with b the bit-length difference, and
-    # 30103/100000 is log10(2) to 5 digits, so below ten million digits the
-    # estimate is off by at most one and the loops below make it exact. Bit
-    # lengths, unlike str(), have no digit limit.
-    mag = (num.bit_length() - den.bit_length()) * 30103 // 100000 + 1
-    while not _lt_pow10(num, den, mag):
+    q = floor(x 10^e) for e = digits - mag + 1, with mag at most two below
+    x's magnitude, so q carries one to three digits past `digits`; `inexact`
+    says whether x 10^e exceeds q. Returns the rounded digits and x's
+    magnitude. Only q, of about `digits` digits, is divided here.
+    """
+    top = 10**digits
+    unit = 10
+    while q >= top * unit:
+        unit *= 10
         mag += 1
-    while not _pow10_le(mag - 1, num, den):
-        mag -= 1
-    return mag
-
-
-def _sqrt_magnitude(num: int, den: int) -> int:
-    """The unique mag with 10**(mag-1) <= sqrt(num/den) < 10**mag."""
-    mag = (_magnitude(num, den) + 1) // 2
-    while not _lt_pow10(num, den, 2 * mag):
+    q, rest = divmod(q, unit)
+    if 2 * rest > unit or (2 * rest == unit and (inexact or q % 2 == 1)):
+        q += 1
+    if q == top:
+        q //= 10
         mag += 1
-    while not _pow10_le(2 * (mag - 1), num, den):
-        mag -= 1
-    return mag
+    return q, mag
 
 
 def _digit_string(q: int) -> str:
@@ -304,33 +293,24 @@ def _place_digits(digit_str: str, mag: int, negative: bool) -> str:
 def sqrt_to_decimal(value: SignedSqrtRational, digits: int) -> str:
     """Decimal expansion of sign * sqrt(radicand) to `digits` significant digits.
 
-    Computed via an integer square root of a scaled numerator; the half-even
-    rounding decision compares 4*N against (2q+1)^2*D^2 exactly, so ties are
-    resolved correctly even for perfect squares and the output is bit-exact
-    on every platform.
+    Computed via one integer square root of a scaled numerator with a guard
+    digit; a tie is a tie only when that root is exact, so ties are resolved
+    correctly even for perfect squares and the output is bit-exact on every
+    platform.
     """
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
     if value.sign == 0:
         return "0"
     num, den = value.radicand.numerator, value.radicand.denominator
-    mag = _sqrt_magnitude(num, den)
-    e = digits - mag
-    if e >= 0:
-        big_n = num * den * _pow10(2 * e)
-        big_d = den
-    else:
-        big_n = num * den
-        big_d = den * _pow10(-e)
-    q = math.isqrt(big_n) // big_d
-    # round half-even: sqrt(big_n)/big_d vs q + 1/2, squared
-    lhs = 4 * big_n
-    rhs = (2 * q + 1) ** 2 * big_d * big_d
-    if lhs > rhs or (lhs == rhs and q % 2 == 1):
-        q += 1
-    if q == _pow10(digits):
-        q //= 10
-        mag += 1
+    # sqrt(v) has magnitude (M + 1) // 2 when v has magnitude M
+    mag = (_magnitude_floor(num, den) + 1) // 2
+    e = digits - mag + 1
+    big_n, big_d = (num * den * 10**(2 * e), den) if e >= 0 else (num * den, den * 10**(-e))
+    root = math.isqrt(big_n)
+    q, r = divmod(root, big_d)
+    # q is sqrt(big_n)/big_d exactly only when the root is exact and divides
+    q, mag = _round_half_even(q, mag, digits, r != 0 or root * root != big_n)
     return _place_digits(_digit_string(q), mag, value.sign < 0)
 
 
@@ -345,16 +325,9 @@ def rational_to_decimal(value: Fraction | int, digits: int) -> str:
         return "0"
     negative = num < 0
     num = abs(num)
-    mag = _magnitude(num, den)
-    e = digits - mag
-    if e >= 0:
-        scaled_num, scaled_den = num * _pow10(e), den
-    else:
-        scaled_num, scaled_den = num, den * _pow10(-e)
+    mag = _magnitude_floor(num, den)
+    e = digits - mag + 1
+    scaled_num, scaled_den = (num * 10**e, den) if e >= 0 else (num, den * 10**(-e))
     q, r = divmod(scaled_num, scaled_den)
-    if 2 * r > scaled_den or (2 * r == scaled_den and q % 2 == 1):
-        q += 1
-    if q == _pow10(digits):
-        q //= 10
-        mag += 1
+    q, mag = _round_half_even(q, mag, digits, r != 0)
     return _place_digits(_digit_string(q), mag, negative)

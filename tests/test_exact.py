@@ -457,3 +457,64 @@ def test_sqrt_to_decimal_past_int_str_digit_limit():
     for sign, radicand, exact_radicand in cases:
         rendered = sqrt_to_decimal(SignedSqrtRational(sign, radicand), 15)
         assert Decimal(rendered) == sign * exact_radicand.sqrt(_ROUNDED)
+
+
+def _rounded_sqrt(radicand: Fraction, digits: int) -> Decimal:
+    """sqrt(radicand) to `digits` digits, half-even, from one integer isqrt:
+    the magnitude by exact comparison, then floor and tie decided on exact
+    rationals."""
+    mag = (len(str(radicand.numerator)) - len(str(radicand.denominator))) // 2
+    while radicand >= Fraction(100) ** mag:
+        mag += 1
+    while radicand < Fraction(100) ** (mag - 1):
+        mag -= 1
+    scaled = radicand * Fraction(100) ** (digits - mag)
+    q = math.isqrt(scaled.numerator // scaled.denominator)
+    # compare sqrt(scaled) with q + 1/2, squared
+    if 4 * scaled > (2 * q + 1) ** 2 or (4 * scaled == (2 * q + 1) ** 2 and q % 2):
+        q += 1
+    return Decimal(q).scaleb(mag - digits, _EXACT)
+
+
+def _fixed_point(value: Decimal, digits: int) -> str:
+    """A value of at most `digits` significant digits written out as the
+    renderers write it: `digits` significant digits, zeros padding an integer."""
+    return format(value, f".{max(0, digits - 1 - value.adjusted())}f")
+
+
+def _boundary_rationals(digits: int) -> list[Fraction]:
+    """Powers of ten, values one unit either side of them, half-unit ties
+    and round-ups that carry to 10^digits, at magnitudes down to 10^-300."""
+    values = []
+    for k in (-300, -41, -7, -1, 0, 1, 6, 40):
+        power = Fraction(10) ** k
+        values.append(power)
+        for j in (digits - 1, digits, digits + 1, digits + 2):
+            unit = power / 10**j
+            values += [power - unit, power + unit, power - unit / 2, power + unit / 2]
+    return [v for v in values if v > 0]
+
+
+@pytest.mark.parametrize("digits", range(1, 41))
+def test_rational_to_decimal_at_powers_of_ten(digits):
+    rounded = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=-999_999, Emax=999_999)
+    for value in _boundary_rationals(digits):
+        for signed in (value, -value):
+            want = rounded.divide(Decimal(signed.numerator), Decimal(signed.denominator))
+            assert rational_to_decimal(signed, digits) == _fixed_point(want, digits), signed
+
+
+@pytest.mark.parametrize("digits", range(1, 41))
+def test_sqrt_to_decimal_at_powers_of_ten(digits):
+    # squares of the rational cases, so that each root sits one unit from a
+    # power of ten, on a half-unit tie or exactly on the power, and radicands
+    # one unit either side of those perfect squares
+    radicands = []
+    for root in _boundary_rationals(digits):
+        square = root * root
+        radicands += [square, square - square / 10 ** (2 * digits + 4), square * (1 + Fraction(1, 10**30))]
+    for radicand in radicands:
+        want = _rounded_sqrt(radicand, digits)
+        for sign, signed in ((1, want), (-1, want.copy_negate())):
+            got = sqrt_to_decimal(SignedSqrtRational(sign, radicand), digits)
+            assert got == _fixed_point(signed, digits), radicand

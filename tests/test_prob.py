@@ -6,12 +6,15 @@ import dataclasses
 import math
 import pickle
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from cgexact import prob
 from cgexact.angular import DegenerateLabels
 from cgexact.prob import (
     BinomialParams,
@@ -220,6 +223,94 @@ class TestHypergeomPmf:
             support = params.support()
             x = rng.randint(support.start - 1, support.stop)
             assert hypergeom_pmf(params, x) == _literal_pmf(n1, n2, n3, x)
+
+
+def _walk_order(support: range, rng: random.Random) -> list[int]:
+    """x outside the support before and after a walk, then the support
+    upward, downward, with repeats and shuffled."""
+    lo, hi = support.start, support.stop - 1
+    shuffled = list(support)
+    rng.shuffle(shuffled)
+    return [lo - 1, *support, hi + 1, hi + 2, *reversed(support), lo, lo, lo + 1, *shuffled, -1]
+
+
+def _literal_numerator(params: HypergeomParams, x: int) -> int:
+    return _comb(params.n1, x) * _comb(params.n3 - params.n1, params.n2 - x)
+
+
+class TestNumeratorWalk:
+    """A law walks its numerators C(n1,x) C(n3-n1,n2-x) from n3 = _WALK_MIN_N3
+    on; every value must still be the product of two math.comb calls."""
+
+    def test_every_small_law_walks(self, monkeypatch):
+        # with the crossover at 0 every law walks, edge laws included: each
+        # law upward with a point outside the support at both ends, and every
+        # law up to n3 = 20 in every order as well
+        monkeypatch.setattr(prob, "_WALK_MIN_N3", 0)
+        rng = random.Random(12)
+        for n3 in range(41):
+            for n1 in range(n3 + 1):
+                for n2 in range(n3 + 1):
+                    params = HypergeomParams(n1, n2, n3)
+                    support = params.support()
+                    xs = range(support.start - 1, support.stop + 2)
+                    want = {x: _literal_numerator(params, x) for x in (-1, *xs)}
+                    if n3 <= 20:
+                        xs = _walk_order(support, rng)
+                    for x in xs:
+                        assert params._numerator(x) == want[x], (params, x)
+
+    def test_large_laws_at_the_measured_crossover(self):
+        rng = random.Random(13)
+        law = HypergeomParams(20000, 300, 40000)
+        for x in _walk_order(law.support(), rng):
+            assert law._numerator(x) == _literal_numerator(law, x), x
+        for x in range(-1, 302):
+            assert hypergeom_pmf(law, x) == _literal_pmf(20000, 300, 40000, x), x
+        # support [10000, 20000]: a step at each end, as math.comb is slow here
+        law = HypergeomParams(30000, 20000, 40000)
+        for x in (9999, 10000, 10001, 20000, 20001):
+            assert law._numerator(x) == _literal_numerator(law, x), x
+        for n1, n2 in ((0, 0), (0, 300), (1000, 300), (300, 0), (300, 1000), (1000, 1000)):
+            law = HypergeomParams(n1, n2, 1000)
+            for x in _walk_order(law.support(), rng):
+                assert hypergeom_pmf(law, x) == _literal_pmf(n1, n2, 1000, x), (law, x)
+
+    def test_two_laws_walked_interleaved(self):
+        a, b = HypergeomParams(20000, 300, 40000), HypergeomParams(150, 100, 400)
+        for x in range(-1, 302):
+            assert a._numerator(x) == _literal_numerator(a, x), x
+            assert b._numerator(x) == _literal_numerator(b, x), x
+
+    def test_threads_walking_one_shared_law(self):
+        law = HypergeomParams(2000, 300, 4000)
+        expected = [_literal_numerator(law, x) for x in range(-1, 302)]
+
+        def walk(start: int) -> bool:
+            return all(
+                law._numerator(x) == expected[x + 1]
+                for _ in range(5)
+                for x in range(start, 302)
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert all(pool.map(walk, (-1, 0, 7, 150), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_walk_state_is_not_a_field(self):
+        law = HypergeomParams(200, 50, 400)
+        for x in range(40):
+            hypergeom_pmf(law, x)
+        assert law._walk[0] == 39
+        fresh = HypergeomParams(200, 50, 400)
+        assert law == fresh and hash(law) == hash(fresh) and repr(law) == repr(fresh)
+        replaced = dataclasses.replace(law)
+        assert replaced == law and replaced._walk is None
+        assert dataclasses.astuple(law) == (200, 50, 400)
 
 
 class TestHypergeomPgf:
