@@ -4,122 +4,18 @@ Coefficients are computed by three independent backends (Racah binomial sum,
 terminating 3F2 series, ladder-operator construction) over exact rational
 arithmetic, and every identity tying them to the hypergeometric and binomial
 distributions can be verified exactly via the suites in cgexact.verify.
+
+Each layer module's `__all__` is its public API, stated there once; this
+package re-exports all five (angular, exact, hypseries, prob, verify).
 """
 
-from .angular import (
-    CgLabels,
-    DegenerateLabels,
-    HalfInt,
-    InvalidLabelsError,
-    PhaseUndefinedError,
-    ProductStateVector,
-    StepsOutOfRangeError,
-    TriangleViolationError,
-    cg_3f2,
-    cg_degenerate_squared,
-    cg_ladder_rows,
-    cg_ladder_stretched,
-    cg_racah,
-    cg_to_3jm,
-    delta_abc,
-    racah_zsum_terms,
-    selection_rule_violation,
-    selection_rules_satisfied,
-)
-from .exact import (
-    SignedSqrtRational,
-    binomial,
-    factorial,
-    pochhammer,
-    rational_to_decimal,
-    sqrt_to_decimal,
-)
-from .hypseries import (
-    NonTerminatingError,
-    PoleBeforeTerminationError,
-    SeriesParams2F1,
-    SeriesParams3F2,
-    eval_2f1,
-    eval_3f2_unit,
-)
-from .prob import (
-    BinomialParams,
-    DegenerateConditioningError,
-    DegenerateDistributionError,
-    HypergeomParams,
-    IndivisibleN3Error,
-    MismatchedPError,
-    PmfTable,
-    SupportTooSmallError,
-    binomial_convolve,
-    binomial_limit_tv,
-    binomial_pmf,
-    conditional_probability,
-    hypergeom_mean,
-    hypergeom_mgf,
-    hypergeom_pgf,
-    hypergeom_pmf,
-    hypergeom_variance,
-)
-from .verify import (
-    SuiteReport,
-    run_backend_agreement,
-    run_degenerate_identity,
-    run_distribution_identities,
-)
+from . import angular, exact, hypseries, prob, verify
+from .angular import *
+from .exact import *
+from .hypseries import *
+from .prob import *
+from .verify import *
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BinomialParams",
-    "CgLabels",
-    "DegenerateConditioningError",
-    "DegenerateDistributionError",
-    "DegenerateLabels",
-    "HalfInt",
-    "HypergeomParams",
-    "IndivisibleN3Error",
-    "InvalidLabelsError",
-    "MismatchedPError",
-    "NonTerminatingError",
-    "PhaseUndefinedError",
-    "PmfTable",
-    "PoleBeforeTerminationError",
-    "ProductStateVector",
-    "SeriesParams2F1",
-    "SeriesParams3F2",
-    "SignedSqrtRational",
-    "StepsOutOfRangeError",
-    "SuiteReport",
-    "SupportTooSmallError",
-    "TriangleViolationError",
-    "binomial",
-    "binomial_convolve",
-    "binomial_limit_tv",
-    "binomial_pmf",
-    "cg_3f2",
-    "cg_degenerate_squared",
-    "cg_ladder_rows",
-    "cg_ladder_stretched",
-    "cg_racah",
-    "cg_to_3jm",
-    "conditional_probability",
-    "delta_abc",
-    "eval_2f1",
-    "eval_3f2_unit",
-    "factorial",
-    "hypergeom_mean",
-    "hypergeom_mgf",
-    "hypergeom_pgf",
-    "hypergeom_pmf",
-    "hypergeom_variance",
-    "pochhammer",
-    "racah_zsum_terms",
-    "rational_to_decimal",
-    "run_backend_agreement",
-    "run_degenerate_identity",
-    "run_distribution_identities",
-    "selection_rule_violation",
-    "selection_rules_satisfied",
-    "sqrt_to_decimal",
-]
+__all__ = [*angular.__all__, *exact.__all__, *hypseries.__all__, *prob.__all__, *verify.__all__]

@@ -175,6 +175,17 @@ class ProductStateVector:
         return sum((v.radicand for v in self.entries.values()), Fraction(0))
 
 
+def _triangle_violation(ta: int, tb: int, tc: int) -> str | None:
+    """The first of the triangle rule on (a, b, c) and integral a + b + c
+    that twice the momenta break, described; None if both hold. The triangle
+    rule makes all three nonnegative."""
+    if not abs(ta - tb) <= tc <= ta + tb:
+        return "selection rule: triangle(a, b, c) violated"
+    if (ta + tb + tc) % 2:
+        return "selection rule: a+b+c is not an integer"
+    return None
+
+
 def selection_rule_violation(labels: CgLabels) -> str | None:
     """The first selection rule the labels break, described; None if all hold.
 
@@ -183,12 +194,7 @@ def selection_rule_violation(labels: CgLabels) -> str | None:
     """
     if labels.gamma.twice != labels.alpha.twice + labels.beta.twice:
         return "selection rule: gamma != alpha+beta"
-    ta, tb, tc = labels.a.twice, labels.b.twice, labels.c.twice
-    if not abs(ta - tb) <= tc <= ta + tb:
-        return "selection rule: triangle(a, b, c) violated"
-    if (ta + tb + tc) % 2:
-        return "selection rule: a+b+c is not an integer"
-    return None
+    return _triangle_violation(labels.a.twice, labels.b.twice, labels.c.twice)
 
 
 def selection_rules_satisfied(labels: CgLabels) -> bool:
@@ -260,7 +266,7 @@ def cg_racah(labels: CgLabels) -> SignedSqrtRational:
 def delta_abc(a: HalfInt, b: HalfInt, c: HalfInt) -> SignedSqrtRational:
     """Triangle coefficient sqrt[(a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!]."""
     ta, tb, tc = a.twice, b.twice, c.twice
-    if min(ta, tb, tc) < 0 or (ta + tb + tc) % 2 or not abs(ta - tb) <= tc <= ta + tb:
+    if _triangle_violation(ta, tb, tc):
         raise TriangleViolationError(f"({a}, {b}, {c}) violates the triangle rule")
     radicand = Fraction(
         factorial((ta + tb - tc) // 2)

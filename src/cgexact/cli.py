@@ -11,6 +11,7 @@ failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -20,6 +21,7 @@ from fractions import Fraction
 from . import verify as verify_suites
 from .angular import (
     CgLabels,
+    DegenerateLabels,
     HalfInt,
     cg_3f2,
     cg_ladder_stretched,
@@ -30,7 +32,6 @@ from .angular import (
 from .exact import SignedSqrtRational, _digit_string, rational_to_decimal, sqrt_to_decimal
 from .prob import (
     BinomialParams,
-    DegenerateLabels,
     HypergeomParams,
     PmfTable,
     binomial_convolve,
@@ -230,18 +231,24 @@ def _cmd_limit(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
 def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
     suites = [s for name, s in verify_suites.SUITES.items() if args.suite in (name, "all")]
     sizes = [suite.checked(getattr(args, suite.param)) for suite in suites]
-    reports = [suite.run(size) for suite, size in zip(suites, sizes)]
-    all_passed = all(r.passed for r in reports)
-    record = {
-        "command": _echo(argv),
-        "status": "ok" if all_passed else "error",
-        "passed": all_passed,
-        "suites": [r.to_dict() for r in reports],
-        "detail": "" if all_passed else "one or more suites reported failures",
-    }
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, indent=2) + "\n")
+    # the report path is opened before any suite runs, so a path that cannot
+    # be written is a usage error, not a failed verification after the run
+    try:
+        output = open(args.output, "w", encoding="utf-8") if args.output else None
+    except OSError as exc:
+        raise ValueError(f"cannot write the report to {args.output!r}: {exc.strerror}") from None
+    with output or contextlib.nullcontext():
+        reports = [suite.run(size) for suite, size in zip(suites, sizes)]
+        all_passed = all(r.passed for r in reports)
+        record = {
+            "command": _echo(argv),
+            "status": "ok" if all_passed else "error",
+            "passed": all_passed,
+            "suites": [r.to_dict() for r in reports],
+            "detail": "" if all_passed else "one or more suites reported failures",
+        }
+        if output:
+            output.write(json.dumps(record, indent=2) + "\n")
     return record, EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 

@@ -129,6 +129,17 @@ class BinomialParams:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
+def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+    """The numerators of `values` over their least common denominator, and
+    that denominator. The lcm is folded pairwise, since an argument tuple
+    unpacked into math.lcm stays on CPython's per-length tuple free list once
+    freed, until a full collection."""
+    common = 1
+    for q in values:
+        common = math.lcm(common, q.denominator)
+    return [q.numerator * (common // q.denominator) for q in values], common
+
+
 @dataclass(frozen=True)
 class PmfTable:
     """Finite pmf as (outcome, probability) pairs; exact and normalized."""
@@ -147,14 +158,9 @@ class PmfTable:
             object.__setattr__(self, "entries", entries)
         if any(q.numerator < 0 for _, q in entries):
             raise ValueError("probabilities must be nonnegative")
-        # summed on integers over the common denominator, not as Fractions
-        # that reduce after every addition; the lcm is folded pairwise, since
-        # an argument tuple unpacked into math.lcm stays on CPython's
-        # per-length tuple free list once freed, until a full collection
-        common = 1
-        for _, q in entries:
-            common = math.lcm(common, q.denominator)
-        if sum(q.numerator * (common // q.denominator) for _, q in entries) != common:
+        # summed on integers, not as Fractions that reduce after every addition
+        numerators, common = _over_common_denominator([q for _, q in entries])
+        if sum(numerators) != common:
             raise ValueError("probabilities must sum to 1 exactly")
         outcomes = [x for x, _ in entries]
         if any(x >= y for x, y in zip(outcomes, outcomes[1:])):

@@ -14,7 +14,6 @@ its `--suite` choices and size flags from the rows.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,13 +119,7 @@ def _distribution_cases(max_n3: int) -> Iterator:
                 params = prob.HypergeomParams(n1, n2, n3)
                 support = params.support()
                 pmf = [prob.hypergeom_pmf(params, x) for x in support]
-                # folded pairwise: an argument tuple unpacked into math.lcm
-                # stays on CPython's per-length tuple free list once freed,
-                # until a full collection
-                common = 1
-                for q in pmf:
-                    common = math.lcm(common, q.denominator)
-                scaled = [q.numerator * (common // q.denominator) for q in pmf]
+                scaled, common = prob._over_common_denominator(pmf)
                 total = sum(scaled)
                 yield total == common, lambda: (
                     f"n1={n1} n2={n2} n3={n3} pmf-sum", "1", str(Fraction(total, common))

@@ -226,6 +226,30 @@ class TestDeltaAbc:
         with pytest.raises(TriangleViolationError):
             delta_abc(HalfInt(1), HalfInt(1), HalfInt(1))
 
+    def test_raises_exactly_where_any_rule_or_sign_fails(self):
+        # nonnegative momenta, integrality and the triangle rule, each stated
+        # on its own; the triangle rule alone implies the first
+        grid = range(-12, 25)
+        for ta, tb, tc in itertools.product(grid, grid, grid):
+            broken = min(ta, tb, tc) < 0 or (ta + tb + tc) % 2 or not abs(ta - tb) <= tc <= ta + tb
+            a, b, c = HalfInt(ta), HalfInt(tb), HalfInt(tc)
+            try:
+                delta_abc(a, b, c)
+            except TriangleViolationError as exc:
+                assert broken
+                assert str(exc) == f"({a}, {b}, {c}) violates the triangle rule"
+            else:
+                assert not broken
+
+
+def test_cg_racah_sums_the_public_zsum(monkeypatch):
+    # the z-sum is looked up on the module, so a wrapper rebound there sees it
+    calls = []
+    real = angular.racah_zsum_terms
+    monkeypatch.setattr(angular, "racah_zsum_terms", lambda labels: calls.append(1) or real(labels))
+    assert cg_racah(CgLabels.from_twice(1, 1, 1, -1, 2, 0)) == SignedSqrtRational(1, Fraction(1, 2))
+    assert calls == [1]
+
 
 def test_cg_degenerate_squared_examples():
     assert cg_degenerate_squared(DegenerateLabels(2, 1, 2, 1)) == Fraction(2, 3)

@@ -515,6 +515,37 @@ class TestVerifyCommand:
             assert captured.err == f"cgexact: {message}\n"
         assert calls == []
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "where, strerror",
+        [("missing/r.json", "No such file or directory"), ("", "Is a directory")],
+    )
+    def test_unwritable_output_exits_2_before_any_suite_runs(
+        self, capsys, monkeypatch, tmp_path, fmt, where, strerror
+    ):
+        calls = []
+        real = angular.cg_racah
+        monkeypatch.setattr(angular, "cg_racah", lambda labels: calls.append(1) or real(labels))
+        path = str(tmp_path / where) if where else str(tmp_path)
+        argv = ["verify", "--suite", "agreement", "--max-twice-ab", "1", "--output", path]
+        code = main([*argv, "--format", fmt])
+        captured = capsys.readouterr()
+        message = f"cannot write the report to {path!r}: {strerror}"
+        assert code == 2
+        assert captured.err == f"cgexact: {message}\n"
+        if fmt == "json":
+            assert json.loads(captured.out)["detail"] == message
+        else:
+            assert captured.out == f"error: {message}\n"
+        assert calls == []
+
+    def test_output_file_is_the_json_stdout(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        _, _, out = run_json(
+            capsys, "verify", "--suite", "degenerate", "--max-l", "2", "--output", str(out_path)
+        )
+        assert out_path.read_text(encoding="utf-8") == out
+
     def test_output_path_keeps_the_name_as_typed(self, capsys, monkeypatch, tmp_path):
         # "-1.json" starts like a negative number, so argparse sees it shielded
         monkeypatch.chdir(tmp_path)
