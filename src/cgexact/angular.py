@@ -13,7 +13,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import SignedSqrtRational, binomial, factorial
+from .exact import SignedSqrtRational, _trusted, binomial, factorial
 from .hypseries import _terminating_sum
 
 __all__ = [
@@ -89,6 +89,20 @@ class HalfInt:
         return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
 
 
+# HalfInt(t) for every |t| <= _HALF_MAX, built once: labels and ladder rows
+# of that size share these instances instead of building their own. 513
+# entries, about 50 kB.
+_HALF_MAX = 256
+_HALVES = tuple(map(HalfInt, range(-_HALF_MAX, _HALF_MAX + 1)))
+
+
+def _half(twice: int) -> HalfInt:
+    """HalfInt(twice), from the shared table when |twice| <= _HALF_MAX."""
+    if -_HALF_MAX <= twice <= _HALF_MAX:
+        return _HALVES[twice + _HALF_MAX]
+    return HalfInt(twice)
+
+
 @dataclass(frozen=True)
 class CgLabels:
     """The six quantum numbers of a coupling <a alpha; b beta | c gamma>.
@@ -121,6 +135,32 @@ class CgLabels:
 
     @classmethod
     def from_twice(cls, ta: int, tal: int, tb: int, tbe: int, tc: int, tg: int) -> "CgLabels":
+        """The labels with twice each quantum number given, a = ta/2 and so on.
+
+        Labels that pass __post_init__'s checks, made here on the six ints,
+        and whose spins are in the shared HalfInt table are built from its
+        entries without running the checks again. Anything else goes through
+        the constructor, so its errors are the constructor's own.
+        """
+        try:
+            # -j <= m <= j makes j nonnegative; j <= _HALF_MAX keeps m in the table
+            if (
+                -ta <= tal <= ta <= _HALF_MAX
+                and -tb <= tbe <= tb <= _HALF_MAX
+                and -tc <= tg <= tc <= _HALF_MAX
+                and not ((ta ^ tal) | (tb ^ tbe) | (tc ^ tg)) & 1
+            ):
+                labels = object.__new__(cls)
+                set_field = object.__setattr__
+                set_field(labels, "a", _HALVES[ta + _HALF_MAX])
+                set_field(labels, "alpha", _HALVES[tal + _HALF_MAX])
+                set_field(labels, "b", _HALVES[tb + _HALF_MAX])
+                set_field(labels, "beta", _HALVES[tbe + _HALF_MAX])
+                set_field(labels, "c", _HALVES[tc + _HALF_MAX])
+                set_field(labels, "gamma", _HALVES[tg + _HALF_MAX])
+                return labels
+        except TypeError:  # not ints: the constructor decides
+            pass
         return cls(HalfInt(ta), HalfInt(tal), HalfInt(tb), HalfInt(tbe), HalfInt(tc), HalfInt(tg))
 
 
@@ -274,7 +314,7 @@ def delta_abc(a: HalfInt, b: HalfInt, c: HalfInt) -> SignedSqrtRational:
         * factorial((tb + tc - ta) // 2),
         factorial((ta + tb + tc) // 2 + 1),
     )
-    return SignedSqrtRational(1, radicand)
+    return _trusted(1, radicand)
 
 
 def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
@@ -390,7 +430,7 @@ def _normalised(state: dict[tuple[int, int], tuple[int, int]]) -> ProductStateVe
     norm2 = sum(squares.values())
     return ProductStateVector(
         {
-            (HalfInt(t1), HalfInt(t2)): SignedSqrtRational(1, Fraction(square, norm2))
+            (_half(t1), _half(t2)): _trusted(1, Fraction(square, norm2))
             for (t1, t2), square in squares.items()
         }
     )

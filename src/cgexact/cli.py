@@ -291,11 +291,28 @@ def _render_text(payload: object) -> str:
     return body + ("".join(f"\n{line}" for line in extras))
 
 
+def _choice(choices: tuple[str, ...]):
+    """An argparse type that rejects a value outside `choices` before
+    argparse's own choice check does. Its message is the one Python 3.10 to
+    3.12 print; 3.13 stopped quoting the choices, and usage errors are part
+    of the CLI's byte-stable output."""
+
+    def check(value: str) -> str:
+        if value not in choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+            )
+        return value
+
+    return check
+
+
 def build_parser() -> argparse.ArgumentParser:
+    formats = ("text", "json")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=15, help="significant digits for decimals")
     common.add_argument(
-        "--format", choices=("text", "json"), default="text", dest="fmt",
+        "--format", choices=formats, type=_choice(formats), default="text", dest="fmt",
         help="output format",
     )
 
@@ -313,9 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
         coefficient_parser = sub.add_parser(name, parents=[common], help=help_text)
         for label in _LABEL_NAMES:
             coefficient_parser.add_argument(label, help=f"half-integer {label} ('k' or 'k/2')")
+        backends = (*_BACKENDS, "all")
         coefficient_parser.add_argument(
             "--backend",
-            choices=(*_BACKENDS, "all"),
+            choices=backends,
+            type=_choice(backends),
             default="racah",
             help="evaluation backend (ladder applies only when c = a+b)",
         )
@@ -344,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify_parser = sub.add_parser(
         "verify", parents=[common], help="run identity verification suites"
     )
-    verify_parser.add_argument("--suite", choices=(*verify_suites.SUITES, "all"), default="all")
+    suites = (*verify_suites.SUITES, "all")
+    verify_parser.add_argument("--suite", choices=suites, type=_choice(suites), default="all")
     for suite in verify_suites.SUITES.values():
         flag = "--" + suite.param.replace("_", "-")
         verify_parser.add_argument(flag, type=int, default=suite.default)

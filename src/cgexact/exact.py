@@ -154,8 +154,10 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
     return acc
 
 
-def _sign_of(q: Fraction) -> int:
-    return (q > 0) - (q < 0)
+def _rational(x: Fraction | int) -> Fraction | int:
+    """x as a Fraction, or x itself when it is already an int or a Fraction:
+    Fraction(x) on a Fraction goes through the numbers.Rational ABC check."""
+    return x if type(x) is Fraction or type(x) is int else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -188,25 +190,18 @@ class SignedSqrtRational:
     @classmethod
     def from_scaled_sqrt(cls, coeff: Fraction | int, radicand: Fraction | int) -> "SignedSqrtRational":
         """The value coeff * sqrt(radicand), radicand >= 0."""
-        coeff = Fraction(coeff)
-        radicand = Fraction(radicand)
-        if radicand < 0:
+        coeff = _rational(coeff)
+        radicand = _rational(radicand)
+        c_num, r_num = coeff.numerator, radicand.numerator
+        if r_num < 0:
             raise ValueError(f"radicand must be nonnegative, got {radicand}")
-        if coeff == 0 or radicand == 0:
+        if c_num == 0 or r_num == 0:
             return _ZERO
-        # The checks above give sign +-1 and a positive Fraction radicand,
-        # so __post_init__'s re-wrap and re-validation are skipped.
-        value = object.__new__(cls)
-        object.__setattr__(value, "sign", _sign_of(coeff))
-        object.__setattr__(
-            value,
-            "radicand",
-            Fraction(
-                coeff.numerator**2 * radicand.numerator,
-                coeff.denominator**2 * radicand.denominator,
-            ),
+        c_den = coeff.denominator
+        return _trusted(
+            1 if c_num > 0 else -1,
+            Fraction(c_num * c_num * r_num, c_den * c_den * radicand.denominator),
         )
-        return value
 
     @property
     def is_zero(self) -> bool:
@@ -217,26 +212,38 @@ class SignedSqrtRational:
             return NotImplemented
         sign = self.sign * other.sign
         if sign == 0:
-            return SignedSqrtRational.zero()
-        return SignedSqrtRational(sign, self.radicand * other.radicand)
+            return _ZERO
+        return _trusted(sign, self.radicand * other.radicand)
 
     def __neg__(self) -> "SignedSqrtRational":
-        return SignedSqrtRational(-self.sign, self.radicand)
+        if self.sign == 0:
+            return _ZERO
+        return _trusted(-self.sign, self.radicand)
 
     def scale_sqrt(self, factor: Fraction | int) -> "SignedSqrtRational":
         """Multiply by sqrt(factor), factor >= 0."""
-        factor = Fraction(factor)
-        if factor < 0:
+        factor = _rational(factor)
+        if factor.numerator < 0:
             raise ValueError(f"sqrt scale factor must be nonnegative, got {factor}")
-        if factor == 0 or self.sign == 0:
-            return SignedSqrtRational.zero()
-        return SignedSqrtRational(self.sign, self.radicand * factor)
+        if factor.numerator == 0 or self.sign == 0:
+            return _ZERO
+        return _trusted(self.sign, self.radicand * factor)
 
     def __str__(self) -> str:
         if self.sign == 0:
             return "0"
         prefix = "-" if self.sign < 0 else "+"
         return f"{prefix}sqrt({self.radicand})"
+
+
+def _trusted(sign: int, radicand: Fraction) -> SignedSqrtRational:
+    """SignedSqrtRational(sign, radicand) without __post_init__, for a caller
+    that already holds what it checks: sign is +1 or -1 and radicand is a
+    positive Fraction (hence in lowest terms)."""
+    value = object.__new__(SignedSqrtRational)
+    object.__setattr__(value, "sign", sign)
+    object.__setattr__(value, "radicand", radicand)
+    return value
 
 
 _ZERO = SignedSqrtRational(0, Fraction(0))

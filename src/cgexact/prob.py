@@ -15,7 +15,7 @@ from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 
 from .angular import DegenerateLabels
-from .exact import binomial
+from .exact import _rational, binomial
 from .hypseries import _terminating_sum
 
 __all__ = [
@@ -329,8 +329,8 @@ def conditional_probability(labels: DegenerateLabels, p: Fraction | int | str) -
     three pmfs are taken as numerators over v^l1, v^l2 and v^l for p = u/v;
     since l = l1 + l2 those denominators cancel as well.
     """
-    p = Fraction(p)
-    if not 0 < p < 1:
+    p = _rational(p)
+    if not 0 < p.numerator < p.denominator:
         raise DegenerateConditioningError(f"p must lie strictly inside (0, 1), got {p}")
     return Fraction(
         _pmf_numerator(labels.l1, p, labels.k1) * _pmf_numerator(labels.l2, p, labels.k2),

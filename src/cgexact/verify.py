@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import angular, prob
-from .angular import CgLabels, DegenerateLabels, HalfInt
+from .angular import CgLabels, DegenerateLabels, HalfInt, _half
 
 __all__ = [
     "SUITES",
@@ -99,7 +99,7 @@ def _degenerate_cases(max_l: int) -> Iterator:
                     coefficient = angular.cg_racah(labels.to_cg_labels())
                     ratio = angular.cg_degenerate_squared(labels)
                     conditional = prob.conditional_probability(labels, one_third)
-                    amplitude = vector.amplitude(HalfInt(l1 - 2 * k1), HalfInt(l2 - 2 * k2))
+                    amplitude = vector.amplitude(_half(l1 - 2 * k1), _half(l2 - 2 * k2))
                     ok = (
                         coefficient.sign == 1
                         and coefficient.radicand == ratio == conditional
@@ -124,20 +124,26 @@ def _distribution_cases(max_n3: int) -> Iterator:
                 yield total == common, lambda: (
                     f"n1={n1} n2={n2} n3={n3} pmf-sum", "1", str(Fraction(total, common))
                 )
+                # each moment is a numerator over a known denominator, and
+                # equals the expected Fraction when the cross products agree
                 if n3 >= 1:
                     expected_mean = prob.hypergeom_mean(params)
-                    mean = Fraction(sum(x * s for x, s in zip(support, scaled)), common)
-                    yield mean == expected_mean, lambda: (
-                        f"n1={n1} n2={n2} n3={n3} mean", str(expected_mean), str(mean)
+                    a, b = expected_mean.numerator, expected_mean.denominator
+                    mean = sum(x * s for x, s in zip(support, scaled))
+                    yield mean * b == a * common, lambda: (
+                        f"n1={n1} n2={n2} n3={n3} mean",
+                        str(expected_mean), str(Fraction(mean, common)),
                     )
                 if n3 >= 2:
                     fact2 = sum(x * (x - 1) * s for x, s in zip(support, scaled))
                     # E[X(X-1)] + mean - mean^2 with mean = a/b, over common * b^2
-                    a, b = expected_mean.numerator, expected_mean.denominator
-                    variance = Fraction(fact2 * b * b + (a * b - a * a) * common, common * b * b)
+                    variance = fact2 * b * b + (a * b - a * a) * common
                     expected_variance = prob.hypergeom_variance(params)
-                    yield variance == expected_variance, lambda: (
-                        f"n1={n1} n2={n2} n3={n3} variance", str(expected_variance), str(variance)
+                    yield variance * expected_variance.denominator == (
+                        expected_variance.numerator * common * b * b
+                    ), lambda: (
+                        f"n1={n1} n2={n2} n3={n3} variance",
+                        str(expected_variance), str(Fraction(variance, common * b * b)),
                     )
                 # the pgf covers every law, but this case count is part of
                 # the default report, so pgf(1) stays on laws whose support

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -31,6 +32,18 @@ from cgexact.angular import (
     selection_rules_satisfied,
 )
 from cgexact.exact import SignedSqrtRational, binomial, factorial, sqrt_to_decimal
+
+
+def _assert_canonical(value: SignedSqrtRational) -> None:
+    """What SignedSqrtRational.__post_init__ checks, on a value built
+    without it; zero is the shared instance."""
+    radicand = value.radicand
+    assert type(radicand) is Fraction and radicand >= 0
+    assert math.gcd(radicand.numerator, radicand.denominator) == 1
+    assert value.sign in (-1, 0, 1)
+    assert (value.sign == 0) == (radicand == 0)
+    if value.sign == 0:
+        assert value is SignedSqrtRational.zero()
 
 
 class TestHalfInt:
@@ -80,6 +93,67 @@ class TestCgLabels:
     def test_negative_momentum(self):
         with pytest.raises(InvalidLabelsError):
             CgLabels.from_twice(-1, 1, 1, -1, 2, 0)
+
+
+# (2j, 2m) pairs of every kind: valid, negative j, |m| > j and parity
+# mismatches, with spins on both sides of the shared HalfInt table's edge.
+_TWICE_J = (-2, -1, 0, 1, 2, 255, 256, 257, 258)
+_TWICE_M = (-258, -257, -256, -3, -2, -1, 0, 1, 2, 3, 256, 257)
+# valid, valid, negative j, |m| > j, parity mismatch
+_OTHER_PAIRS = ((1, 1), (2, 0), (-1, 1), (1, 3), (2, 1))
+
+
+def _label_sweep():
+    """Six-int tuples with every kind of (2j, 2m) pair in each of the three
+    slots, the other two slots drawn from _OTHER_PAIRS; then two with
+    non-int entries."""
+    for slot in range(3):
+        for pair in itertools.product(_TWICE_J, _TWICE_M):
+            for others in itertools.product(_OTHER_PAIRS, repeat=2):
+                pairs = [*others[:slot], pair, *others[slot:]]
+                yield tuple(itertools.chain.from_iterable(pairs))
+    yield (2.0, 0, 2, 0, 4, 0)
+    yield (1, 0.5, 1, -1, 2, 0)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:  # the error is the outcome to compare
+        return exc
+
+
+class TestLeanLabels:
+    def test_from_twice_is_the_constructor(self):
+        for twice in _label_sweep():
+            lean = _outcome(lambda: CgLabels.from_twice(*twice))
+            public = _outcome(lambda: CgLabels(*map(HalfInt, twice)))
+            if isinstance(public, Exception):
+                assert (type(lean), str(lean)) == (type(public), str(public)), twice
+                continue
+            assert lean == public and hash(lean) == hash(public), twice
+            assert repr(lean) == repr(public), twice
+            assert vars(lean) == vars(public), twice
+
+    def test_replace_validates_lean_labels(self):
+        lean = CgLabels.from_twice(2, 0, 2, 2, 4, 2)
+        assert dataclasses.replace(lean, c=HalfInt(2)) == CgLabels.from_twice(2, 0, 2, 2, 2, 2)
+        for bad in ({"alpha": HalfInt(1)}, {"gamma": HalfInt(6)}, {"b": HalfInt(-2)}):
+            with pytest.raises(InvalidLabelsError) as lean_error:
+                dataclasses.replace(lean, **bad)
+            with pytest.raises(InvalidLabelsError) as public_error:
+                CgLabels(**{**vars(lean), **bad})
+            assert str(lean_error.value) == str(public_error.value)
+
+    def test_table_holds_each_halfint(self):
+        top = angular._HALF_MAX
+        assert len(angular._HALVES) == 2 * top + 1
+        for twice, half in zip(range(-top, top + 1), angular._HALVES):
+            assert half == HalfInt(twice) and repr(half) == repr(HalfInt(twice))
+            assert angular._half(twice) is half
+        for twice in (-top - 1, top + 1, 10**6):
+            assert repr(angular._half(twice)) == repr(HalfInt(twice))
+        assert CgLabels.from_twice(1, -1, 0, 0, 1, -1).alpha is angular._half(-1)
 
 
 class TestDegenerateLabels:
@@ -202,7 +276,12 @@ def test_backend_agreement_small_sweep():
                     for tc in range(ta + tb + 3):
                         for tg in range(-tc, tc + 1, 2):
                             labels = CgLabels.from_twice(ta, tal, tb, tbe, tc, tg)
-                            assert cg_racah(labels) == cg_3f2(labels)
+                            racah = cg_racah(labels)
+                            assert racah == cg_3f2(labels)
+                            _assert_canonical(racah)
+                            _assert_canonical(cg_3f2(labels))
+                            if (ta - tb + tg) % 2 == 0:
+                                _assert_canonical(cg_to_3jm(labels, racah))
 
 
 class TestDeltaAbc:
@@ -293,6 +372,14 @@ class TestLadder:
             for tb in range(5):
                 for steps in range(ta + tb + 1):
                     assert cg_ladder_stretched(HalfInt(ta), HalfInt(tb), steps).norm_squared() == 1
+
+    def test_row_amplitudes_hold_the_constructor_invariants(self):
+        for ta in range(5):
+            for tb in range(5):
+                for row in cg_ladder_rows(HalfInt(ta), HalfInt(tb)):
+                    for amplitude in row.entries.values():
+                        _assert_canonical(amplitude)
+                        assert amplitude.sign == 1
 
     def test_rows_equal_single_rows(self):
         for ta in range(13):

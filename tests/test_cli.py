@@ -559,6 +559,23 @@ class TestVerifyCommand:
         assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, flag, choices",
+    [
+        ("verify --suite bogus", "--suite", "'agreement', 'degenerate', 'distributions', 'all'"),
+        ("cg 1 1 1 -1 2 0 --backend bogus", "--backend", "'racah', '3f2', 'ladder', 'all'"),
+        ("dist mean --n1 1 --n2 1 --n3 2 --format bogus", "--format", "'text', 'json'"),
+    ],
+)
+def test_invalid_choice_message_is_the_same_on_every_python(capsys, argv, flag, choices):
+    # argparse's own message stopped quoting the choices in Python 3.13
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv.split())
+    assert excinfo.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.endswith(f"error: argument {flag}: invalid choice: 'bogus' (choose from {choices})")
+
+
 class TestOutputContract:
     def test_json_is_byte_stable(self, capsys):
         argv = ("cg", "3/2", "1/2", "1", "-1", "5/2", "-1/2", "--backend", "all")

@@ -295,6 +295,33 @@ class TestSignedSqrtRational:
             with pytest.raises(ValueError, match="nonnegative"):
                 SignedSqrtRational.from_scaled_sqrt(coeff, Fraction(-1, 2))
 
+    def test_results_hold_the_constructor_invariants(self):
+        # values built without __post_init__ must pass its checks; zero is
+        # the shared instance
+        zero = SignedSqrtRational.zero()
+        values = [
+            SignedSqrtRational.from_scaled_sqrt(coeff, radicand)
+            for coeff in (0, -3, Fraction(4, 6), "-1/2", 0.75)
+            for radicand in (0, 2, Fraction(6, 4), "9/12", 1.5)
+        ]
+        values += [-v for v in values] + [x * y for x in values[:10] for y in values[:10]]
+        values += [v.scale_sqrt(f) for v in values[:10] for f in (0, 3, Fraction(2, 8), 0.5)]
+        for value in values:
+            radicand = value.radicand
+            assert type(radicand) is Fraction and radicand >= 0
+            assert math.gcd(radicand.numerator, radicand.denominator) == 1
+            assert value.sign in (-1, 0, 1)
+            assert (value.sign == 0) == (radicand == 0)
+            assert (value.sign == 0) == (value is zero)
+            assert value == SignedSqrtRational(value.sign, radicand)
+        assert -zero is zero and -SignedSqrtRational(0, 0) is zero
+        one = SignedSqrtRational(1, 1)
+        for bad, shown in ((-2, "-2"), (Fraction(-2, 4), "-1/2"), (-0.5, "-1/2")):
+            with pytest.raises(ValueError, match=f"nonnegative, got {shown}$"):
+                one.scale_sqrt(bad)
+            with pytest.raises(ValueError, match=f"nonnegative, got {shown}$"):
+                SignedSqrtRational.from_scaled_sqrt(1, bad)
+
     def test_algebra(self):
         a = SignedSqrtRational(1, Fraction(1, 2))
         b = SignedSqrtRational(-1, Fraction(2, 3))

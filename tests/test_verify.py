@@ -296,6 +296,40 @@ def test_golden_failure_rows(monkeypatch, name):
     assert (rows[0], rows[-1]) == (first, last)
 
 
+def test_reflected_mean_fails_exactly_the_mean_cases(monkeypatch):
+    # the variance leg reads hypergeom_mean too, but E[X(X-1)] + m - m^2 is
+    # unchanged by m -> 1 - m, so only the mean leg fails, on every law whose
+    # mean is not 1/2; rows as the Fraction-per-case implementation wrote them
+    real = prob.hypergeom_mean
+    monkeypatch.setattr(prob, "hypergeom_mean", lambda params: 1 - real(params))
+    report = run_distribution_identities(4)
+    assert (report.cases_run, report.failure_count) == (269, 51)
+    assert [(f.input, f.expected, f.actual) for f in report.failures] == [
+        ("n1=0 n2=0 n3=1 mean", "1", "0"),
+        ("n1=0 n2=0 n3=2 mean", "1", "0"),
+        ("n1=0 n2=0 n3=3 mean", "1", "0"),
+        ("n1=0 n2=1 n3=1 mean", "1", "0"),
+        ("n1=0 n2=1 n3=2 mean", "1", "0"),
+        ("n1=0 n2=1 n3=3 mean", "1", "0"),
+        ("n1=0 n2=2 n3=2 mean", "1", "0"),
+        ("n1=0 n2=2 n3=3 mean", "1", "0"),
+        ("n1=0 n2=3 n3=3 mean", "1", "0"),
+        ("n1=1 n2=0 n3=1 mean", "1", "0"),
+        ("n1=1 n2=0 n3=2 mean", "1", "0"),
+        ("n1=1 n2=0 n3=3 mean", "1", "0"),
+        ("n1=1 n2=1 n3=1 mean", "0", "1"),
+        ("n1=1 n2=1 n3=3 mean", "2/3", "1/3"),
+        ("n1=1 n2=2 n3=2 mean", "0", "1"),
+        ("n1=1 n2=2 n3=3 mean", "1/3", "2/3"),
+        ("n1=1 n2=3 n3=3 mean", "0", "1"),
+        ("n1=2 n2=0 n3=2 mean", "1", "0"),
+        ("n1=2 n2=1 n3=2 mean", "0", "1"),
+        ("n1=2 n2=2 n3=2 mean", "-1", "2"),
+    ]
+    laws = [(n1, n2, n3) for n3 in range(1, 5) for n1 in range(n3 + 1) for n2 in range(n3 + 1)]
+    assert report.failure_count == sum(2 * n1 * n2 != n3 for n1, n2, n3 in laws)
+
+
 def test_default_cli_verify_stdout_is_pinned(capsys):
     assert main(["verify", "--format", "json"]) == 0
     out = capsys.readouterr().out
