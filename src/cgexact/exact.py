@@ -154,6 +154,17 @@ def pochhammer(a: Fraction | int, k: int) -> Fraction:
     return acc
 
 
+def _reduced(num: int, den: int) -> Fraction:
+    """Fraction(num, den) without its gcd, for a caller that already holds
+    num and den > 0 coprime; the slots are the ones Fraction's own
+    constructor sets, so ==, hash, repr and pickling are those of
+    Fraction(num, den)."""
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
 def _rational(x: Fraction | int) -> Fraction | int:
     """x as a Fraction, or x itself when it is already an int or a Fraction:
     Fraction(x) on a Fraction goes through the numbers.Rational ABC check."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -244,6 +245,30 @@ def test_pochhammer_negative_length_rejected():
 )
 def test_pochhammer_gamma_ratio_recurrence(a, k):
     assert pochhammer(a, k + 1) == pochhammer(a, k) * (a + k)
+
+
+def test_reduced_is_the_fraction_of_coprime_ints():
+    # every coprime pair with |num| <= 12 and den <= 12, den = 1 and zero
+    # included, and a few past one machine word
+    pairs = [(n, d) for n in range(-12, 13) for d in range(1, 13) if math.gcd(n, d) == 1]
+    pairs += [(-(3**200), 2**150), (2**300 + 1, 1), (7**90, 10**80 + 1)]
+    third = Fraction(1, 3)
+    for n, d in pairs:
+        got, want = exact._reduced(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator) == (n, d)
+        assert got == want and want == got and not got != want
+        assert hash(got) == hash(want)
+        assert repr(got) == repr(want) and str(got) == str(want)
+        assert got + third == want + third and got - want == 0
+        assert got * third == want * third and got**2 == want**2 and -got == -want
+        assert (got < 1) == (want < 1) and float(got) == float(want)
+        assert math.floor(got) == math.floor(want) and round(got) == round(want)
+        if n:
+            assert 1 / got == 1 / want
+        restored = pickle.loads(pickle.dumps(got))
+        assert type(restored) is Fraction
+        assert (restored.numerator, restored.denominator) == (n, d)
 
 
 class TestSignedSqrtRational:

@@ -283,12 +283,15 @@ class TestNumeratorWalk:
             assert b._numerator(x) == _literal_numerator(b, x), x
 
     def test_threads_walking_one_shared_law(self):
+        # numerators and pmf values both walk, on one law shared by threads
         law = HypergeomParams(2000, 300, 4000)
         expected = [_literal_numerator(law, x) for x in range(-1, 302)]
+        expected_pmf = [_fields(_literal_pmf(2000, 300, 4000, x)) for x in range(-1, 302)]
 
         def walk(start: int) -> bool:
             return all(
                 law._numerator(x) == expected[x + 1]
+                and _fields(hypergeom_pmf(law, x)) == expected_pmf[x + 1]
                 for _ in range(5)
                 for x in range(start, 302)
             )
@@ -302,15 +305,108 @@ class TestNumeratorWalk:
             sys.setswitchinterval(interval)
 
     def test_walk_state_is_not_a_field(self):
+        # the pmf walks its own state and builds one numerator, at its first
+        # point; the numerator walk advances only when called itself
         law = HypergeomParams(200, 50, 400)
         for x in range(40):
             hypergeom_pmf(law, x)
-        assert law._walk[0] == 39
+        assert law._pmf[0] == 39 and law._walk[0] == 0
+        for x in range(40):
+            law._numerator(x)
+        assert law._walk[0] == 39 and law._pmf[0] == 39
         fresh = HypergeomParams(200, 50, 400)
         assert law == fresh and hash(law) == hash(fresh) and repr(law) == repr(fresh)
         replaced = dataclasses.replace(law)
-        assert replaced == law and replaced._walk is None
+        assert replaced == law and replaced._walk is None and replaced._pmf is None
         assert dataclasses.astuple(law) == (200, 50, 400)
+        assert [f.name for f in dataclasses.fields(law)] == ["n1", "n2", "n3"]
+
+
+def _fields(q: Fraction) -> tuple[int, int]:
+    """The stored numerator and denominator; a Fraction built without its gcd
+    can hold unreduced ones that == alone need not show."""
+    assert type(q) is Fraction
+    return q.numerator, q.denominator
+
+
+def _assert_reduced_as(q: Fraction, want: Fraction, where) -> None:
+    num, den = _fields(q)
+    assert (num, den) == _fields(want), where
+    assert den > 0 and math.gcd(num, den) == 1, where
+
+
+def _mostly_upward(support: range, rng: random.Random) -> list[int]:
+    """x from below the support to past its top, by steps up with repeats,
+    steps down and jumps anywhere in between mixed in."""
+    lo, stop = support.start - 1, support.stop + 2
+    xs, x = [], lo
+    while x < stop:
+        xs.append(x)
+        r = rng.random()
+        x = x + 1 if r < 0.9 else x - 1 if r < 0.95 else x if r < 0.975 else rng.randrange(lo, stop)
+    return xs
+
+
+class TestPmfWalk:
+    """From n3 = _WALK_MIN_N3 on, the pmf steps its last reduced value by the
+    term ratio; every value must hold the fields of the literal quotient."""
+
+    def test_every_small_law_walks(self, monkeypatch):
+        # with the crossover at 0 every law up to n3 = 40 walks, from below
+        # its support to past its top, mostly upward with repeats, steps down
+        # and jumps. Swapping n1 and n2 leaves the support, the first value
+        # and every ratio a/b unchanged, so n1 <= n2 takes every step there is
+        monkeypatch.setattr(prob, "_WALK_MIN_N3", 0)
+        rng = random.Random(15)
+        for n3 in range(41):
+            for n2 in range(n3 + 1):
+                for n1 in range(n2 + 1):
+                    params = HypergeomParams(n1, n2, n3)
+                    want = {}
+                    for x in _mostly_upward(params.support(), rng):
+                        if x not in want:
+                            want[x] = _fields(_literal_pmf(n1, n2, n3, x))
+                        # equal to the fields of a Fraction(n, d), so reduced
+                        # over a positive denominator as well
+                        q = hypergeom_pmf(params, x)
+                        assert type(q) is Fraction, (params, x)
+                        assert (q.numerator, q.denominator) == want[x], (params, x)
+
+    def test_large_laws_at_the_measured_crossover(self):
+        rng = random.Random(16)
+        for n1, n2, n3 in (
+            (20000, 150, 40000), (700, 200, 2000), (80, 90, 160), (159, 1, 160),
+            (0, 40, 160), (100, 100, 160), (70, 60, 159),
+        ):
+            law = HypergeomParams(n1, n2, n3)
+            xs = _walk_order(law.support(), rng)
+            want = {x: _literal_pmf(n1, n2, n3, x) for x in xs}
+            for x in xs:
+                _assert_reduced_as(hypergeom_pmf(law, x), want[x], (law, x))
+        # support [1000, 2000]: a step at each end
+        law = HypergeomParams(3000, 2000, 4000)
+        for x in (999, 1000, 1001, 2000, 2001):
+            _assert_reduced_as(hypergeom_pmf(law, x), _literal_pmf(3000, 2000, 4000, x), x)
+
+    def test_interleaved_with_the_other_walkers(self):
+        # the pmf, the mgf, the pgf and the numerator walk share one law; each
+        # leaves the others' values as a fresh law gives them
+        rng = random.Random(17)
+        law = HypergeomParams(150, 100, 400)
+        fresh_mgf = hypergeom_mgf(HypergeomParams(150, 100, 400), "0.1", 20)
+        fresh_pgf = hypergeom_pgf(HypergeomParams(150, 100, 400), Fraction(1, 3))
+        x = -1
+        for _ in range(300):
+            x = rng.choice((x + 1, x + 1, x + 1, x - 1, x, rng.randint(-1, 102)))
+            kind = rng.randrange(6)
+            if kind == 0:
+                assert hypergeom_mgf(law, "0.1", 20) == fresh_mgf
+            elif kind == 1:
+                assert hypergeom_pgf(law, Fraction(1, 3)) == fresh_pgf
+            elif kind == 2:
+                assert law._numerator(x) == _literal_numerator(law, x), x
+            else:
+                _assert_reduced_as(hypergeom_pmf(law, x), _literal_pmf(150, 100, 400, x), x)
 
 
 class TestHypergeomPgf:
