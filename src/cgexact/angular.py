@@ -8,10 +8,11 @@ coefficient is a SignedSqrtRational, so agreement checks are exact.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .exact import SignedSqrtRational, _trusted, binomial, factorial
 from .hypseries import _terminating_sum
@@ -387,78 +388,73 @@ def _check_spins(a: HalfInt, b: HalfInt) -> None:
         raise InvalidLabelsError(f"momenta must be nonnegative, got {a}, {b}")
 
 
-def _lowering_states(ta: int, tb: int) -> Iterator[dict[tuple[int, int], tuple[int, int]]]:
-    """Unnormalised lowering states of |a a> (x) |b b>, depth 0 to 2a+2b.
+def _lowering_radicals(tj: int) -> list[int]:
+    """The radicals of |j j> lowered 0..2j times: running `_lowering_factor` products."""
+    factors = (_lowering_factor(tj, tm) for tm in range(tj, -tj, -2))
+    return list(accumulate(factors, mul, initial=1))
 
-    Each state maps (2m1, 2m2) to (count, radical): the amplitude is
-    count * sqrt(radical). A lowering step multiplies the radical by the
-    spin's `_lowering_factor`, and every path into a key drops each spin by
-    the same amount, so every path carries the same radical. Merging two
-    paths therefore adds their counts, and the shared radical is checked
-    exactly on every merge.
+
+def _lowering_states(ta: int, tb: int, first: int) -> Iterator[ProductStateVector]:
+    """Normalised lowering states of |a a> (x) |b b>, depth first to 2a+2b.
+
+    At depth s, key j is (2m1, 2m2) = (ta - 2(s - j), tb - 2j). Before
+    normalising its amplitude is count * sqrt(R1[s-j] R2[j]): count is the
+    number of lowering paths into the key, and R1, R2 are each spin's
+    `_lowering_radicals`, which no path changes. A row is a list of counts
+    over j = lo..hi, and the next is J- = J1- + J2- on it: count'[j] =
+    count[j-1] + count[j], the first term while spin 2 can still lower and
+    the second while spin 1 can, a literal sum of positive path counts, so
+    every sign is +1. Only the rows yielded are normalised. The radicals are
+    built twice from fresh `_lowering_factor` calls and must agree: a factor
+    that changes between calls would give two moves into one key different
+    radicals, and raises ArithmeticError instead.
     """
-    state = {(ta, tb): (1, 1)}
-    yield state
-    for _ in range(ta + tb):
-        lowered: dict[tuple[int, int], tuple[int, int]] = {}
-        for (t1, t2), (count, radical) in state.items():
-            moves = (
-                ((t1 - 2, t2), _lowering_factor(ta, t1)),
-                ((t1, t2 - 2), _lowering_factor(tb, t2)),
-            )
-            for key, factor in moves:
-                if factor == 0:
-                    continue
-                new_radical = radical * factor
-                merged = lowered.get(key)
-                if merged is None:
-                    lowered[key] = (count, new_radical)
-                    continue
-                count0, radical0 = merged
-                if new_radical != radical0:
-                    raise ArithmeticError(
-                        f"lowering paths into {key} carry radicals {radical0} and {new_radical}"
-                    )
-                lowered[key] = (count0 + count, radical0)
-        state = lowered
-        yield state
-
-
-def _normalised(state: dict[tuple[int, int], tuple[int, int]]) -> ProductStateVector:
-    """The state scaled to unit norm; counts are positive, so every sign is +1."""
-    squares = {key: count * count * radical for key, (count, radical) in state.items()}
-    norm2 = sum(squares.values())
-    return ProductStateVector(
-        {
-            (_half(t1), _half(t2)): _trusted(1, Fraction(square, norm2))
-            for (t1, t2), square in squares.items()
-        }
-    )
+    r1, r2 = _lowering_radicals(ta), _lowering_radicals(tb)
+    if [r1, r2] != [_lowering_radicals(ta), _lowering_radicals(tb)]:
+        raise ArithmeticError(f"lowering factors of spins {HalfInt(ta)}, {HalfInt(tb)} vary")
+    m1s = [_half(t) for t in range(ta, -ta - 1, -2)]  # spin 1 lowered 0, 1, ... times
+    m2s = [_half(t) for t in range(tb, -tb - 1, -2)]
+    lo, counts = 0, [1]
+    for s in range(ta + tb + 1):
+        if s:
+            summed = [x + y for x, y in zip([0, *counts], [*counts, 0])]
+            new_lo = max(0, s - ta)
+            counts = summed[new_lo - lo : min(tb, s) - lo + 1]
+            lo = new_lo
+        if s < first:
+            continue
+        squares = [c * c * r1[s - j] * r2[j] for j, c in enumerate(counts, lo)]
+        norm2 = sum(squares)
+        yield ProductStateVector(
+            {
+                (m1s[s - j], m2s[j]): _trusted(1, Fraction(q, norm2))
+                for j, q in enumerate(squares, lo)
+            }
+        )
 
 
 def cg_ladder_stretched(a: HalfInt, b: HalfInt, steps: int) -> ProductStateVector:
     """Stretched-family coefficients built by repeated exact lowering.
 
     Starts from |a a> (x) |b b>, applies the total lowering operator
-    `steps` times, and renormalizes exactly. The resulting amplitudes are
-    the coefficients <a m1; b m2 | c gamma> at c = a+b, gamma = a+b-steps.
-    Fully independent of both series backends.
+    `steps` times to the path counts, and normalises that row alone. The
+    resulting amplitudes are the coefficients <a m1; b m2 | c gamma> at
+    c = a+b, gamma = a+b-steps. Fully independent of both series backends.
     """
     _check_spins(a, b)
     if not 0 <= steps <= a.twice + b.twice:
         raise StepsOutOfRangeError(f"steps must lie in [0, {a.twice + b.twice}], got {steps}")
-    states = _lowering_states(a.twice, b.twice)
-    return _normalised(next(itertools.islice(states, steps, None)))
+    return next(_lowering_states(a.twice, b.twice, steps))
 
 
 def cg_ladder_rows(a: HalfInt, b: HalfInt) -> Iterator[ProductStateVector]:
     """Every row of the ladder from one lowering pass.
 
     Yields cg_ladder_stretched(a, b, steps) for steps = 0, 1, ..., 2a+2b in
-    order, lowering once per row instead of once per row and call.
+    order, lowering once per row and normalising each row as it is yielded.
     """
     _check_spins(a, b)
-    return (_normalised(state) for state in _lowering_states(a.twice, b.twice))
+    return _lowering_states(a.twice, b.twice, 0)
 
 
 def cg_to_3jm(labels: CgLabels, cg: SignedSqrtRational) -> SignedSqrtRational:

@@ -398,6 +398,27 @@ class TestLadder:
         with pytest.raises(InvalidLabelsError):
             cg_ladder_stretched(HalfInt(-1), HalfInt(1), 0)
 
+    @pytest.mark.parametrize("ta, tb", [(20, 20), (17, 30), (1, 59), (44, 7), (25, 33)])
+    def test_rows_at_benchmark_sizes(self, ta, tb):
+        # 2a + 2b = 40..60, the sizes of the benchmark's stretched ops: every
+        # row is the single row at its depth, holds every key of that depth
+        # with sign +1 and the binomial-ratio radicand, and its middle entry
+        # equals cg_racah
+        a, b = HalfInt(ta), HalfInt(tb)
+        for steps, row in enumerate(cg_ladder_rows(a, b)):
+            assert row == cg_ladder_stretched(a, b, steps)
+            k2s = range(max(0, steps - ta), min(tb, steps) + 1)
+            assert set(row.entries) == {
+                (HalfInt(ta - 2 * (steps - k2)), HalfInt(tb - 2 * k2)) for k2 in k2s
+            }
+            for (m1, m2), amplitude in row.entries.items():
+                labels = DegenerateLabels(ta, (ta - m1.twice) // 2, tb, (tb - m2.twice) // 2)
+                assert amplitude.sign == 1
+                assert amplitude.radicand == cg_degenerate_squared(labels)
+            m1, m2 = list(row.entries)[len(row.entries) // 2]
+            labels = CgLabels.from_twice(ta, m1.twice, tb, m2.twice, ta + tb, m1.twice + m2.twice)
+            assert row.amplitude(m1, m2) == cg_racah(labels)
+
     def test_merge_checks_the_shared_radical(self, monkeypatch):
         # a lowering factor that changes from call to call gives two paths
         # into the same key different radicals; the merge must refuse them

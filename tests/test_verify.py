@@ -296,6 +296,31 @@ def test_golden_failure_rows(monkeypatch, name):
     assert (rows[0], rows[-1]) == (first, last)
 
 
+def test_off_by_one_lowering_factor_is_caught(monkeypatch, capsys):
+    # |1 1> -> |1 0> gets squared amplitude 3 instead of 2. The factor is
+    # wrong on every call alike, so the ladder raises nothing and only the
+    # comparison with the other backends can see it.
+    argv = ["cg", "1", "0", "1", "0", "2", "0", "--backend", "all", "--format", "json"]
+    assert run_degenerate_identity(4).passed
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["agreement"] is True
+    real = angular._lowering_factor
+    monkeypatch.setattr(
+        angular, "_lowering_factor", lambda tj, tm: real(tj, tm) + ((tj, tm) == (2, 2))
+    )
+    report = run_degenerate_identity(4)
+    assert (report.cases_run, report.failure_count) == (225, 45)
+    rows = [(f.input, f.expected, f.actual) for f in report.failures]
+    assert rows[0] == (
+        "l1=1 k1=0 l2=2 k2=1", "sign=+1 radicand=2/3",
+        "cg=+sqrt(2/3) conditional=2/3 ladder=+sqrt(3/4)",
+    )
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["agreement"] is False
+    assert record["backends"]["ladder"]["exact"]["radicand"] == {"num": "3", "den": "4"}
+
+
 def test_reflected_mean_fails_exactly_the_mean_cases(monkeypatch):
     # the variance leg reads hypergeom_mean too, but E[X(X-1)] + m - m^2 is
     # unchanged by m -> 1 - m, so only the mean leg fails, on every law whose
