@@ -4,7 +4,8 @@ Cached factorials, binomials with the out-of-support-zero convention, rising
 factorials over rationals, the signed-square-root value type, and decimal
 rendering that never touches machine floating point. Binomials come from
 math.comb below a measured crossover and from Legendre prime exponents
-above it, where math.comb's big-integer divisions dominate.
+above it, where math.comb's big-integer divisions dominate; the same
+exponents give a quotient of three binomials directly in lowest terms.
 """
 
 from __future__ import annotations
@@ -83,15 +84,24 @@ def binomial(n: int, k: int) -> int:
     if n < _PRIME_MIN_ROW:
         return math.comb(n, k)
     k = min(k, n - k)
+    primes = _prime_path(n, k)
+    if primes is None:
+        return math.comb(n, k)
+    return _binomial_from_primes(n, k, primes)
+
+
+def _prime_path(n: int, k: int) -> list[int] | None:
+    """Every prime <= n, in increasing order, when C(n, k) for 0 <= k <= n - k
+    is the faster from prime exponents; None when math.comb is."""
     if n <= _PRIMES_MAX_CACHED:
         if k < _PRIME_MIN_K + (n >> 6):
-            return math.comb(n, k)
+            return None
         if not _PRIMES:
             _PRIMES[:] = _primes_upto(_PRIMES_MAX_CACHED)
-        return _binomial_from_primes(n, k, _PRIMES)
+        return _PRIMES
     if k < _PRIME_MIN_K_SIEVED + (n >> 6):
-        return math.comb(n, k)
-    return _binomial_from_primes(n, k, _primes_upto(n))
+        return None
+    return _primes_upto(n)
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -113,10 +123,8 @@ def _binomial_from_primes(n: int, k: int, primes: list[int]) -> int:
 
     Legendre's formula gives the exponent of p as the sum over i of
     n // p**i - k // p**i - (n - k) // p**i (Goetgheluck, Amer. Math. Monthly
-    94 (1987) 360). Above sqrt(n) only i = 1 is left, and the exponent is 1
-    exactly when n % p < k % p: the carry out of k + (n - k) in base p. So it
-    is 0 for n/2 < p <= n - k and 1 for n - k < p <= n. No big integer is
-    divided, and every factor p**e is at most n.
+    94 (1987) 360). Above sqrt(n) only i = 1 is left, which `_carries` takes.
+    No big integer is divided, and every factor p**e is at most n.
     """
     m = n - k
     small = bisect_right(primes, math.isqrt(n))
@@ -129,9 +137,72 @@ def _binomial_from_primes(n: int, k: int, primes: list[int]) -> int:
             q *= p
         if e:
             factors.append(p**e)
-    factors += [p for p in primes[small : bisect_right(primes, n // 2)] if n % p < k % p]
-    factors += primes[bisect_right(primes, m) : bisect_right(primes, n)]
+    stop = bisect_right(primes, n)
+    factors += compress(primes[small:stop], _carries(n, k, primes, small, stop))
     return _product(factors, 0, len(factors))
+
+
+def _carries(n: int, k: int, primes: list[int], start: int, stop: int) -> bytearray:
+    """One byte per prime in primes[start:stop]: 1 where it divides C(n, k),
+    0 where not, for 0 <= k <= n - k and primes[start] > sqrt(n).
+
+    Such a prime p divides C(n, k) at most once, exactly when n % p < k % p:
+    the carry out of k + (n - k) in base p (Kummer). So no p in
+    (n/2, n - k] or past n divides it, and every p in (n - k, n] does. The
+    ranges are searched from `start` on, so a caller that took the Legendre
+    sums of the primes before it counts none of them twice.
+    """
+    flags = bytearray(stop - start)
+    half = bisect_right(primes, n >> 1, start, stop)
+    flags[: half - start] = [n % p < k % p for p in primes[start:half]]
+    lo = bisect_right(primes, n - k, start, stop)
+    hi = bisect_right(primes, n, start, stop)
+    flags[lo - start : hi - start] = b"\x01" * (hi - lo)
+    return flags
+
+
+def _binomial_quotient_from_primes(l1: int, k1: int, l2: int, k2: int, primes: list[int]) -> Fraction:
+    """C(l1, k1) C(l2, k2) / C(l1 + l2, k1 + k2) in lowest terms, for
+    0 <= k1 <= l1 and 0 <= k2 <= l2; `primes` holds every prime <= l1 + l2
+    in increasing order.
+
+    Each prime's exponent is summed over the three binomials as in
+    `_binomial_from_primes`: the Legendre sums up to sqrt(l1 + l2), which
+    bounds every row, and the `_carries` of each binomial above it.
+    Positive totals go to the numerator and negative ones to the
+    denominator. The two share no prime, so the quotient is built in lowest
+    terms without any big-integer gcd or division; Johansson and Forssen
+    (SIAM J. Sci. Comput. 38 (2016) A376) keep factorial quotients as prime
+    exponents for the same reason.
+    """
+    l, k = l1 + l2, k1 + k2
+    m1, m2, m = l1 - k1, l2 - k2, l - k
+    small = bisect_right(primes, math.isqrt(l))
+    num, den = [], []
+    for p in primes[:small]:
+        e = 0
+        q = p
+        while q <= l:
+            e += l1 // q - k1 // q - m1 // q + l2 // q - k2 // q - m2 // q - l // q + k // q + m // q
+            q *= p
+        if e > 0:
+            num.append(p**e)
+        elif e < 0:
+            den.append(p**-e)
+    # above sqrt(l) each binomial holds a prime at most once, so the total
+    # is a + b - c for the three carry flags, combined bytewise as integers:
+    # 1 on (a ^ b) & ~c; 2 - c on a & b, so once there and once more on
+    # a & b & ~c; -1 on c & ~(a | b)
+    stop = bisect_right(primes, l)
+    big = primes[small:stop]
+    a, b, c = (
+        int.from_bytes(_carries(n, min(j, n - j), primes, small, stop), "little")
+        for n, j in ((l1, k1), (l2, k2), (l, k))
+    )
+    for mask in ((a ^ b) & ~c, a & b, a & b & ~c):
+        num += compress(big, mask.to_bytes(len(big), "little"))
+    den += compress(big, (c & ~(a | b)).to_bytes(len(big), "little"))
+    return _reduced(_product(num, 0, len(num)), _product(den, 0, len(den)))
 
 
 def _product(xs: list[int], lo: int, hi: int) -> int:
@@ -292,10 +363,14 @@ def _round_half_even(q: int, mag: int, digits: int, inexact: bool) -> tuple[int,
 
 
 def _digit_string(q: int) -> str:
-    """str(q), a leading "-" included for negative q. Decimal's exact
-    conversion has no digit cap, unlike str(int) past 4300 digits, and leaves
-    the interpreter-wide limit alone."""
-    return str(Decimal(q))
+    """str(q), a leading "-" included for negative q. Past the interpreter's
+    int-to-str digit limit (4300 by default) str(int) raises ValueError;
+    Decimal's exact conversion has no such cap and leaves the
+    interpreter-wide limit alone, but costs twice as much on short values."""
+    try:
+        return str(q)
+    except ValueError:
+        return str(Decimal(q))
 
 
 def _place_digits(digit_str: str, mag: int, negative: bool) -> str:

@@ -15,7 +15,7 @@ from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 
 from .angular import DegenerateLabels
-from .exact import _rational, _reduced, binomial
+from .exact import _binomial_quotient_from_primes, _prime_path, _rational, _reduced, binomial
 from .hypseries import _terminating_sum
 
 __all__ = [
@@ -59,32 +59,41 @@ class SupportTooSmallError(ValueError):
     """n2 exceeds min(n1, n3 - n1); the comparison needs full support [0, n2]."""
 
 
-# Measured crossover: below this n3, two math.comb calls in C per point beat
-# stepping both binomials in Python. Walk / math.comb per point on 40 laws
-# per n3 shaped as the benchmark's pmf tables, best of 40 (2 cores, Python
-# 3.11): 1.13 at n3 = 96, 1.02-1.34 at 128, 0.95-1.00 at 160, 0.82 at 256.
-# The reduced pmf walk shares it: on the same shapes, whole supports walked
-# against one reduced quotient per point, best of 15, read 1.22 at n3 = 64,
-# 0.94 at 96, 0.77 at 128, 0.70 at 160, 0.40 at 512 and 0.20 at 40000.
+# Measured crossovers. Below _WALK_MIN_N3, two math.comb calls in C per point
+# beat stepping both binomials in Python. Walk / math.comb per point on 40
+# laws per n3 shaped as the benchmark's pmf tables, best of 40 (2 cores,
+# Python 3.11): 1.13 at n3 = 96, 1.02-1.34 at 128, 0.95-1.00 at 160, 0.82 at
+# 256. The reduced pmf walk wins earlier: on the same shapes, whole supports
+# walked against one reduced quotient per point, the two alternating, best
+# of 21 per law, read 1.03-1.11 at n3 <= 48, 1.00-1.03 at 64, 0.98-1.00 at
+# 72 and 80, 0.93-0.94 at 88, 0.92 at 96 (walk faster on 30 of 40 laws),
+# 0.88-0.89 at 112, 0.84 at 128 and 0.73 at 160.
 _WALK_MIN_N3 = 160
+_PMF_WALK_MIN_N3 = 96
 
 
 @dataclass(frozen=True)
 class HypergeomParams:
     """Draw n2 items from n3 of which n1 are marked; X counts marked draws.
 
-    The pmf normaliser C(n3, n2) is computed once, as `_normaliser`, outside
-    the dataclass fields: eq, hash, repr and `replace` see only (n1, n2, n3).
-    From n3 = _WALK_MIN_N3 on, the law also keeps two walks, so the next
-    point up steps from the last nonzero one: `_walk`, the two binomials of
-    the last numerator it built, and `_pmf`, the last pmf value (x, q) it
-    served, already in lowest terms.
+    Outside the dataclass fields, a law keeps what its pmf, pgf and mgf
+    calls build, so eq, hash, repr, `replace` and `astuple` see only
+    (n1, n2, n3), and a pickled law equals the original:
+    - `_normaliser`, the pmf normaliser C(n3, n2), built on the first call
+      to `_normaliser_value`; a pmf point built from prime exponents never
+      reads it, so constructing a law builds no binomial;
+    - from n3 = _WALK_MIN_N3 on, `_walk`, the two binomials of the last
+      numerator it built, so the next numerator up steps from them;
+    - from n3 = _PMF_WALK_MIN_N3 on, `_pmf`, the last pmf value (x, q) it
+      served, already in lowest terms, so the next point up steps from it.
     """
 
     n1: int
     n2: int
     n3: int
-    # no annotations, so not fields; _numerator and hypergeom_pmf set them per law
+    # no annotations, so not fields; _normaliser_value, _numerator and
+    # hypergeom_pmf set them per law
+    _normaliser = None
     _walk = None
     _pmf = None
 
@@ -93,10 +102,17 @@ class HypergeomParams:
             raise ValueError(f"need 0 <= n1 <= n3, got n1={self.n1}, n3={self.n3}")
         if not 0 <= self.n2 <= self.n3:
             raise ValueError(f"need 0 <= n2 <= n3, got n2={self.n2}, n3={self.n3}")
-        object.__setattr__(self, "_normaliser", binomial(self.n3, self.n2))
 
     def support(self) -> range:
         return range(max(0, self.n1 + self.n2 - self.n3), min(self.n1, self.n2) + 1)
+
+    def _normaliser_value(self) -> int:
+        """C(n3, n2), built on first use and kept as `_normaliser`."""
+        normaliser = self._normaliser
+        if normaliser is None:
+            normaliser = binomial(self.n3, self.n2)
+            object.__setattr__(self, "_normaliser", normaliser)
+        return normaliser
 
     def _numerator(self, x: int) -> int:
         """C(n1,x) C(n3-n1,n2-x), the pmf at x times the normaliser.
@@ -177,20 +193,30 @@ class PmfTable:
 def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
     """C(n1,x) C(n3-n1,n2-x) / C(n3,n2); zero outside the support.
 
-    Below n3 = _WALK_MIN_N3 each value is the literal quotient of the two
-    binomials over the normaliser C(n3,n2) that its HypergeomParams computed
-    once. From the crossover on, right after a nonzero value q = N/D at
-    x - 1 the next one is q a/b, the 2F1 term ratio at t = 1 with
-    a = (n1-x+1)(n2-x+1) and b = x (n3-n1-n2+x) > 0. With a/b reduced first
-    and g1 = gcd(N, b), g2 = gcd(a, D), the result (N/g1)(a/g2) / ((D/g2)(b/g1))
-    is in lowest terms because gcd(N, D) = gcd(a, b) = 1: two gcds with a
-    small operand replace one gcd of two big integers. Any other x reduces
-    `_numerator(x)` over the normaliser afresh. `_pmf` is replaced as one
-    tuple, so a concurrent reader sees a consistent (x, q).
+    Each value takes one of three routes, and every route returns the
+    fields of Fraction(C(n1,x) C(n3-n1,n2-x), C(n3,n2)):
+    - Literal quotient. Below n3 = _PMF_WALK_MIN_N3, the two binomials over
+      the law's normaliser, reduced by Fraction.
+    - Walk. From that crossover on, right after a nonzero value q = N/D at
+      x - 1 the next one is q a/b, the 2F1 term ratio at t = 1 with
+      a = (n1-x+1)(n2-x+1) and b = x (n3-n1-n2+x) > 0. With a/b reduced
+      first and g1 = gcd(N, b), g2 = gcd(a, D), the result
+      (N/g1)(a/g2) / ((D/g2)(b/g1)) is in lowest terms because
+      gcd(N, D) = gcd(a, b) = 1: two gcds with a small operand replace one
+      gcd of two big integers.
+    - Prime exponents. Any other x in the support, on a law where
+      binomial(n3, n2) itself takes its prime path (min(n2, n3-n2) from
+      exact._PRIME_MIN_K + n3 // 64 on rows up to 2**16, from
+      exact._PRIME_MIN_K_SIEVED + n3 // 64 above), is built in lowest terms
+      from the primes' exponent sums, with no big-integer gcd or division
+      and without the normaliser (`exact._binomial_quotient_from_primes`).
+    Any other x reduces `_numerator(x)` over the normaliser afresh. `_pmf`
+    is replaced as one tuple, so a concurrent reader sees a consistent
+    (x, q), and the next point up walks from it whatever route built it.
     """
     n1, n2, n3 = params.n1, params.n2, params.n3
-    if n3 < _WALK_MIN_N3:
-        return Fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), params._normaliser)
+    if n3 < _PMF_WALK_MIN_N3:
+        return Fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), params._normaliser_value())
     last = params._pmf
     if last is not None and last[0] == x - 1:
         q = last[1]
@@ -205,8 +231,15 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
         num = num // g1 * (a // g2)
         q = _reduced(num, den // g2 * (b // g1))
     else:
-        num = params._numerator(x)
-        q = Fraction(num, params._normaliser)
+        primes = None
+        if max(0, n1 + n2 - n3) <= x <= min(n1, n2):
+            primes = _prime_path(n3, min(n2, n3 - n2))
+        if primes is None:
+            num = params._numerator(x)
+            q = Fraction(num, params._normaliser_value())
+        else:
+            q = _binomial_quotient_from_primes(n1, x, n3 - n1, n2 - x, primes)
+            num = q.numerator
     if num:
         object.__setattr__(params, "_pmf", (x, q))
     return q
@@ -226,7 +259,7 @@ def hypergeom_pgf(params: HypergeomParams, t: Fraction | int) -> Fraction:
     n1, n2, n3 = params.n1, params.n2, params.n3
     x0 = max(0, n1 + n2 - n3)
     first_num = params._numerator(x0) * t.numerator**x0
-    first_den = params._normaliser * t.denominator**x0
+    first_den = params._normaliser_value() * t.denominator**x0
     return _terminating_sum(
         (-n1, -n2), (n3 - n1 - n2 + 1,), t, x0, min(n1, n2), first_num, first_den
     )
@@ -265,7 +298,7 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
     support = params.support()
     x0 = support.start
     with localcontext(Context(prec=digits + 10 + len(str(len(support))))) as ctx:
-        normaliser = Decimal(params._normaliser)
+        normaliser = Decimal(params._normaliser_value())
         total = Decimal(0)
         x = x0
         try:
@@ -404,9 +437,10 @@ def binomial_limit_tv(
                 f"n2 = {n2} exceeds min(n1, n3 - n1) = {min(n1, n3 - n1)} at n3 = {n3}"
             )
         law = HypergeomParams(n1, n2, n3)
+        normaliser = law._normaliser_value()
         total = sum(
-            abs(law._numerator(x) * scale - num * law._normaliser)
+            abs(law._numerator(x) * scale - num * normaliser)
             for x, num in enumerate(binomial_nums)
         )
-        results.append((n3, Fraction(total, 2 * law._normaliser * scale)))
+        results.append((n3, Fraction(total, 2 * normaliser * scale)))
     return results

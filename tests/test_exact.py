@@ -570,3 +570,14 @@ def test_sqrt_to_decimal_at_powers_of_ten(digits):
         for sign, signed in ((1, want), (-1, want.copy_negate())):
             got = sqrt_to_decimal(SignedSqrtRational(sign, radicand), digits)
             assert got == _fixed_point(signed, digits), radicand
+
+
+def test_digit_string_falls_back_to_decimal_past_the_int_str_limit():
+    # str(int) up to the interpreter's digit limit, Decimal's exact
+    # conversion past it; the limit itself is never touched
+    limit = sys.get_int_max_str_digits()
+    for q in (0, 7, -7, 10**14 + 3, -(10**4299), 10**4299 + 1):
+        assert exact._digit_string(q) == str(q)
+    for q in (10**4300, -(10**4300) - 1, 7**6000):
+        assert exact._digit_string(q) == str(Decimal(q))
+    assert sys.get_int_max_str_digits() == limit

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from cgexact import prob
+from cgexact import exact, prob
 from cgexact.angular import DegenerateLabels
 from cgexact.prob import (
     BinomialParams,
@@ -106,21 +106,48 @@ class TestParams:
         assert list(HypergeomParams(9, 8, 10).support()) == [7, 8]
 
     def test_normaliser_is_not_a_field(self):
+        # the normaliser is built on first use and kept outside the fields:
+        # a law that holds it and one that does not are the same law
         params = HypergeomParams(5, 2, 10)
+        assert params._normaliser is None
+        unread = pickle.loads(pickle.dumps(params))
+        assert params._normaliser_value() == math.comb(10, 2)
         assert params._normaliser == math.comb(10, 2)
         assert [f.name for f in dataclasses.fields(params)] == ["n1", "n2", "n3"]
         assert repr(params) == "HypergeomParams(n1=5, n2=2, n3=10)"
-        assert params == HypergeomParams(5, 2, 10)
-        assert hash(params) == hash(HypergeomParams(5, 2, 10))
+        assert params == HypergeomParams(5, 2, 10) == unread
+        assert hash(params) == hash(HypergeomParams(5, 2, 10)) == hash(unread)
         assert params != HypergeomParams(5, 3, 10)
         assert dataclasses.astuple(params) == (5, 2, 10)
         replaced = dataclasses.replace(params, n2=3)
         assert replaced == HypergeomParams(5, 3, 10)
-        assert replaced._normaliser == math.comb(10, 3)
+        assert replaced._normaliser is None
+        assert replaced._normaliser_value() == math.comb(10, 3)
         restored = pickle.loads(pickle.dumps(params))
         assert restored == params and restored._normaliser == params._normaliser
+        assert unread._normaliser is None and unread._normaliser_value() == math.comb(10, 2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             params._normaliser = 1
+
+    def test_construction_builds_no_binomial(self, monkeypatch):
+        # a point on the prime route never reads C(n3, n2), so a law does
+        # not build it until something does
+        calls = []
+        real = prob.binomial
+
+        def counted(n, k):
+            calls.append((n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(prob, "binomial", counted)
+        law = HypergeomParams(20000, 10000, 40000)
+        assert calls == [] and law._normaliser is None
+        hypergeom_pmf(law, 5000)
+        assert calls == [] and law._normaliser is None
+        assert law._normaliser_value() == math.comb(40000, 10000)
+        assert calls == [(40000, 10000)]
+        law._normaliser_value()
+        assert calls == [(40000, 10000)]
 
 
 class TestPmfTable:
@@ -348,7 +375,7 @@ def _mostly_upward(support: range, rng: random.Random) -> list[int]:
 
 
 class TestPmfWalk:
-    """From n3 = _WALK_MIN_N3 on, the pmf steps its last reduced value by the
+    """From n3 = _PMF_WALK_MIN_N3 on, the pmf steps its last reduced value by the
     term ratio; every value must hold the fields of the literal quotient."""
 
     def test_every_small_law_walks(self, monkeypatch):
@@ -357,6 +384,7 @@ class TestPmfWalk:
         # and jumps. Swapping n1 and n2 leaves the support, the first value
         # and every ratio a/b unchanged, so n1 <= n2 takes every step there is
         monkeypatch.setattr(prob, "_WALK_MIN_N3", 0)
+        monkeypatch.setattr(prob, "_PMF_WALK_MIN_N3", 0)
         rng = random.Random(15)
         for n3 in range(41):
             for n2 in range(n3 + 1):
@@ -407,6 +435,105 @@ class TestPmfWalk:
                 assert law._numerator(x) == _literal_numerator(law, x), x
             else:
                 _assert_reduced_as(hypergeom_pmf(law, x), _literal_pmf(150, 100, 400, x), x)
+
+
+def _prime_crossover(n3: int) -> int:
+    """The least min(n2, n3 - n2) on which binomial(n3, n2) takes its prime
+    path, and with it an off-walk pmf point its prime route."""
+    if n3 <= exact._PRIMES_MAX_CACHED:
+        return exact._PRIME_MIN_K + n3 // 64
+    return exact._PRIME_MIN_K_SIEVED + n3 // 64
+
+
+def _assert_literal_fields(q: Fraction, n1: int, n2: int, n3: int, x: int, normaliser: int) -> None:
+    want = Fraction(_comb(n1, x) * _comb(n3 - n1, n2 - x), normaliser)
+    assert _fields(q) == _fields(want), (n1, n2, n3, x)
+    assert hash(q) == hash(want), (n1, n2, n3, x)
+
+
+class TestPmfPrimeRoute:
+    """Off the walk, on a law where binomial(n3, n2) takes its prime path,
+    a pmf point is built in lowest terms from prime exponents; it must hold
+    the fields of the literal quotient."""
+
+    @staticmethod
+    def _grid() -> list[tuple[int, int, int]]:
+        # n2 at and around the crossover, from both sides of the row, on
+        # cached rows and on rows above 2**16 that sieve per call; n1 spans
+        # small and large marked counts, some below sqrt(n3) on either side
+        rng = random.Random(17)
+        laws = [(74, 3709, 5705), (5705 - 74, 3709, 5705), (10, 700, 1400)]
+        for n3 in (640, 660, 1000, 4096, 39239, 65536, 65537, 70000):
+            j = _prime_crossover(n3)
+            n2s = [j - 1, j, n3 - j] + ([j + 1, n3 // 2] if n3 <= 4096 else [])
+            root = math.isqrt(n3)
+            for n2 in n2s:
+                for n1 in (rng.randrange(1, root), n3 - rng.randrange(1, root), rng.randrange(n3 + 1)):
+                    laws.append((n1, n2, n3))
+        return laws
+
+    def test_equals_the_literal_quotient(self):
+        for n1, n2, n3 in self._grid():
+            normaliser = math.comb(n3, n2)
+            lo, hi = max(0, n1 + n2 - n3), min(n1, n2)
+            for x in sorted({lo, lo + 1, n1 * n2 // n3, hi - 1, hi} & set(range(lo, hi + 1))):
+                q = hypergeom_pmf(HypergeomParams(n1, n2, n3), x)
+                _assert_literal_fields(q, n1, n2, n3, x, normaliser)
+
+    def test_kernel_on_every_small_quotient(self):
+        # every C(l1,k1) C(l2,k2) / C(l1+l2, k1+k2) with l1 + l2 <= 24, over
+        # a prime table that runs past the row, as the cached one does
+        primes = exact._primes_upto(97)
+        for l in range(25):
+            for l1 in range(l + 1):
+                l2 = l - l1
+                for k1 in range(l1 + 1):
+                    for k2 in range(l2 + 1):
+                        q = exact._binomial_quotient_from_primes(l1, k1, l2, k2, primes)
+                        want = Fraction(math.comb(l1, k1) * math.comb(l2, k2), math.comb(l, k1 + k2))
+                        assert _fields(q) == _fields(want), (l1, k1, l2, k2)
+
+    def test_taken_exactly_where_the_rule_says(self, monkeypatch):
+        calls = []
+        real = prob._binomial_quotient_from_primes
+
+        def counted(*args):
+            calls.append(args[:4])
+            return real(*args)
+
+        monkeypatch.setattr(prob, "_binomial_quotient_from_primes", counted)
+        for n1, n2, n3 in self._grid():
+            law = HypergeomParams(n1, n2, n3)
+            lo, hi = max(0, n1 + n2 - n3), min(n1, n2)
+            on_route = min(n2, n3 - n2) >= _prime_crossover(n3)
+            for x in (lo - 1, hi + 1):
+                assert hypergeom_pmf(law, x) == 0
+            assert calls == [], (law, x)
+            # an off-walk point, the next one up walks, a jump is off-walk again
+            for x, fresh in ((lo, True), (lo + 1, False), (hi, True)):
+                if x > hi or (fresh and x == lo + 2):
+                    continue
+                hypergeom_pmf(law, x)
+                want = [(n1, x, n3 - n1, n2 - x)] if on_route and fresh else []
+                assert calls == want, (law, x)
+                calls.clear()
+        # the benchmark's table shapes (n2 <= 300) and the default verify
+        # sweep (n3 <= 30) never take it
+        for n1, n2, n3 in ((20000, 300, 40000), (3000, 300, 65536), (15, 15, 30), (10, 20, 30)):
+            law = HypergeomParams(n1, n2, n3)
+            for x in law.support():
+                hypergeom_pmf(HypergeomParams(n1, n2, n3), x)
+        assert calls == []
+
+    def test_walk_from_a_prime_route_point(self):
+        for n1, n2, n3, x0 in ((18445, 10646, 39239, 5006), (74, 3709, 5705, 5), (65537, 3200, 70000, 2990)):
+            law = HypergeomParams(n1, n2, n3)
+            normaliser = math.comb(n3, n2)
+            for x in range(x0, min(x0 + 8, min(n1, n2) + 2)):
+                q = hypergeom_pmf(law, x)
+                _assert_literal_fields(q, n1, n2, n3, x, normaliser)
+                assert math.gcd(*_fields(q)) == 1
+            assert law._normaliser is None
 
 
 class TestHypergeomPgf:
