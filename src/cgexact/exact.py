@@ -123,7 +123,7 @@ def _binomial_from_primes(n: int, k: int, primes: list[int]) -> int:
 
     Legendre's formula gives the exponent of p as the sum over i of
     n // p**i - k // p**i - (n - k) // p**i (Goetgheluck, Amer. Math. Monthly
-    94 (1987) 360). Above sqrt(n) only i = 1 is left, which `_carries` takes.
+    94 (1987) 360). Above sqrt(n) only i = 1 is left: see `_carry_ranges`.
     No big integer is divided, and every factor p**e is at most n.
     """
     m = n - k
@@ -137,14 +137,17 @@ def _binomial_from_primes(n: int, k: int, primes: list[int]) -> int:
             q *= p
         if e:
             factors.append(p**e)
-    stop = bisect_right(primes, n)
-    factors += compress(primes[small:stop], _carries(n, k, primes, small, stop))
+    half, lo, hi = _carry_ranges(n, k, primes, small, len(primes))
+    factors += [p for p in primes[small:half] if n % p < k % p]
+    factors += primes[lo:hi]
     return _product(factors, 0, len(factors))
 
 
-def _carries(n: int, k: int, primes: list[int], start: int, stop: int) -> bytearray:
-    """One byte per prime in primes[start:stop]: 1 where it divides C(n, k),
-    0 where not, for 0 <= k <= n - k and primes[start] > sqrt(n).
+def _carry_ranges(n: int, k: int, primes: list[int], start: int, stop: int) -> tuple[int, int, int]:
+    """Indices half, lo, hi such that, of the primes in primes[start:stop],
+    those in primes[start:half] divide C(n, k) exactly when n % p < k % p,
+    every one in primes[lo:hi] divides it and no other one does; for
+    0 <= k <= n - k and primes[start] > sqrt(n).
 
     Such a prime p divides C(n, k) at most once, exactly when n % p < k % p:
     the carry out of k + (n - k) in base p (Kummer). So no p in
@@ -152,13 +155,11 @@ def _carries(n: int, k: int, primes: list[int], start: int, stop: int) -> bytear
     ranges are searched from `start` on, so a caller that took the Legendre
     sums of the primes before it counts none of them twice.
     """
-    flags = bytearray(stop - start)
-    half = bisect_right(primes, n >> 1, start, stop)
-    flags[: half - start] = [n % p < k % p for p in primes[start:half]]
-    lo = bisect_right(primes, n - k, start, stop)
-    hi = bisect_right(primes, n, start, stop)
-    flags[lo - start : hi - start] = b"\x01" * (hi - lo)
-    return flags
+    return (
+        bisect_right(primes, n >> 1, start, stop),
+        bisect_right(primes, n - k, start, stop),
+        bisect_right(primes, n, start, stop),
+    )
 
 
 def _binomial_quotient_from_primes(l1: int, k1: int, l2: int, k2: int, primes: list[int]) -> Fraction:
@@ -168,7 +169,7 @@ def _binomial_quotient_from_primes(l1: int, k1: int, l2: int, k2: int, primes: l
 
     Each prime's exponent is summed over the three binomials as in
     `_binomial_from_primes`: the Legendre sums up to sqrt(l1 + l2), which
-    bounds every row, and the `_carries` of each binomial above it.
+    bounds every row, and the `_carry_ranges` of each binomial above it.
     Positive totals go to the numerator and negative ones to the
     denominator. The two share no prime, so the quotient is built in lowest
     terms without any big-integer gcd or division; Johansson and Forssen
@@ -195,10 +196,15 @@ def _binomial_quotient_from_primes(l1: int, k1: int, l2: int, k2: int, primes: l
     # a & b & ~c; -1 on c & ~(a | b)
     stop = bisect_right(primes, l)
     big = primes[small:stop]
-    a, b, c = (
-        int.from_bytes(_carries(n, min(j, n - j), primes, small, stop), "little")
-        for n, j in ((l1, k1), (l2, k2), (l, k))
-    )
+    flags = []
+    for n, j in ((l1, k1), (l2, k2), (l, k)):
+        j = min(j, n - j)
+        half, lo, hi = _carry_ranges(n, j, primes, small, stop)
+        carried = bytearray(len(big))
+        carried[: half - small] = [n % p < j % p for p in primes[small:half]]
+        carried[lo - small : hi - small] = b"\x01" * (hi - lo)
+        flags.append(int.from_bytes(carried, "little"))
+    a, b, c = flags
     for mask in ((a ^ b) & ~c, a & b, a & b & ~c):
         num += compress(big, mask.to_bytes(len(big), "little"))
     den += compress(big, (c & ~(a | b)).to_bytes(len(big), "little"))

@@ -216,7 +216,10 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
     """
     n1, n2, n3 = params.n1, params.n2, params.n3
     if n3 < _PMF_WALK_MIN_N3:
-        return Fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), params._normaliser_value())
+        # the stored normaliser is read directly once built: on these small
+        # laws the method call costs a measurable share of the quotient
+        normaliser = params._normaliser or params._normaliser_value()
+        return Fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), normaliser)
     last = params._pmf
     if last is not None and last[0] == x - 1:
         q = last[1]

@@ -535,6 +535,31 @@ class TestPmfPrimeRoute:
                 assert math.gcd(*_fields(q)) == 1
             assert law._normaliser is None
 
+    def test_threads_sharing_one_law(self):
+        # prime-route points, walked points and the lazy normaliser, all on
+        # one law shared by threads that switch every microsecond
+        n1, n2, n3 = 2000, 1000, 4000
+        law = HypergeomParams(n1, n2, n3)
+        normaliser = math.comb(n3, n2)
+        xs = [x for start in (100, 300, 500, 700, 900) for x in range(start, start + 4)]
+        expected = {x: _fields(Fraction(math.comb(n1, x) * math.comb(n3 - n1, n2 - x), normaliser)) for x in xs}
+
+        def serve(offset: int) -> bool:
+            order = xs[offset:] + xs[:offset]
+            return all(
+                _fields(hypergeom_pmf(law, x)) == expected[x] and law._normaliser_value() == normaliser
+                for _ in range(3)
+                for x in order
+            )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert all(pool.map(serve, (0, 5, 10, 15), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestHypergeomPgf:
     def test_normalization_at_one(self):
