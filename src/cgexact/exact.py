@@ -144,16 +144,15 @@ def _binomial_from_primes(n: int, k: int, primes: list[int]) -> int:
 
 
 def _carry_ranges(n: int, k: int, primes: list[int], start: int, stop: int) -> tuple[int, int, int]:
-    """Indices half, lo, hi such that, of the primes in primes[start:stop],
-    those in primes[start:half] divide C(n, k) exactly when n % p < k % p,
-    every one in primes[lo:hi] divides it and no other one does; for
-    0 <= k <= n - k and primes[start] > sqrt(n).
+    """Indices half <= lo <= hi of the primes in primes[start:stop] that
+    divide C(n, k), for 0 <= k <= n - k and primes[start] > sqrt(n).
 
     Such a prime p divides C(n, k) at most once, exactly when n % p < k % p:
-    the carry out of k + (n - k) in base p (Kummer). So no p in
-    (n/2, n - k] or past n divides it, and every p in (n - k, n] does. The
-    ranges are searched from `start` on, so a caller that took the Legendre
-    sums of the primes before it counts none of them twice.
+    the carry out of k + (n - k) in base p (Kummer). The ones in
+    primes[start:half], up to n/2, need that test; every one in
+    primes[lo:hi], in (n - k, n], divides it; no other one does. The ranges
+    start at `start` even where n - k lies below primes[start], so a caller
+    that took the Legendre sums of the primes before it counts none twice.
     """
     return (
         bisect_right(primes, n >> 1, start, stop),

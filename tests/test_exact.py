@@ -189,6 +189,21 @@ def test_binomial_prime_path_zero_convention_and_negative_row():
             binomial(-n, n // 2)
 
 
+def test_binomial_quotient_from_primes_on_every_small_row():
+    # every C(l1,k1) C(l2,k2) / C(l1+l2, k1+k2) with l1 + l2 <= 24, reduced
+    # as Fraction reduces it, over a prime table that runs past the row as
+    # the cached one does; rows with l1 or l2 below sqrt(l1 + l2) included
+    primes = exact._primes_upto(97)
+    for l in range(25):
+        for l1 in range(l + 1):
+            l2 = l - l1
+            for k1 in range(l1 + 1):
+                for k2 in range(l2 + 1):
+                    q = exact._binomial_quotient_from_primes(l1, k1, l2, k2, primes)
+                    want = Fraction(math.comb(l1, k1) * math.comb(l2, k2), math.comb(l, k1 + k2))
+                    assert (q.numerator, q.denominator) == (want.numerator, want.denominator), (l1, k1, l2, k2)
+
+
 def test_prime_table_is_the_primes_up_to_its_cap():
     primerange = pytest.importorskip("sympy").primerange
     for n in range(2, 300):

@@ -480,19 +480,6 @@ class TestPmfPrimeRoute:
                 q = hypergeom_pmf(HypergeomParams(n1, n2, n3), x)
                 _assert_literal_fields(q, n1, n2, n3, x, normaliser)
 
-    def test_kernel_on_every_small_quotient(self):
-        # every C(l1,k1) C(l2,k2) / C(l1+l2, k1+k2) with l1 + l2 <= 24, over
-        # a prime table that runs past the row, as the cached one does
-        primes = exact._primes_upto(97)
-        for l in range(25):
-            for l1 in range(l + 1):
-                l2 = l - l1
-                for k1 in range(l1 + 1):
-                    for k2 in range(l2 + 1):
-                        q = exact._binomial_quotient_from_primes(l1, k1, l2, k2, primes)
-                        want = Fraction(math.comb(l1, k1) * math.comb(l2, k2), math.comb(l, k1 + k2))
-                        assert _fields(q) == _fields(want), (l1, k1, l2, k2)
-
     def test_taken_exactly_where_the_rule_says(self, monkeypatch):
         calls = []
         real = prob._binomial_quotient_from_primes
