@@ -505,10 +505,9 @@ class TestPmfPrimeRoute:
                 assert calls == want, (law, x)
                 calls.clear()
         # the benchmark's table shapes (n2 <= 300) and the default verify
-        # sweep (n3 <= 30) never take it
+        # sweep (n3 <= 30) never take it, even with a fresh law per point
         for n1, n2, n3 in ((20000, 300, 40000), (3000, 300, 65536), (15, 15, 30), (10, 20, 30)):
-            law = HypergeomParams(n1, n2, n3)
-            for x in law.support():
+            for x in HypergeomParams(n1, n2, n3).support():
                 hypergeom_pmf(HypergeomParams(n1, n2, n3), x)
         assert calls == []
 
