@@ -92,7 +92,7 @@ def binomial(n: int, k: int) -> int:
 
 def _prime_path(n: int, k: int) -> list[int] | None:
     """Every prime <= n, in increasing order, when C(n, k) for 0 <= k <= n - k
-    is the faster from prime exponents; None when math.comb is."""
+    is faster from prime exponents; None when math.comb is faster."""
     if n <= _PRIMES_MAX_CACHED:
         if k < _PRIME_MIN_K + (n >> 6):
             return None
