@@ -336,37 +336,6 @@ def _trusted(sign: int, radicand: Fraction) -> SignedSqrtRational:
 _ZERO = SignedSqrtRational(0, Fraction(0))
 
 
-def _magnitude_floor(num: int, den: int) -> int:
-    """A lower bound on the mag with 10**(mag-1) <= num/den < 10**mag (num,
-    den > 0), at most 2 low."""
-    # 2**(b-1) < num/den < 2**(b+1) for b the bit-length difference, and the
-    # constant is log10(2) rounded down to 10 digits, so both claims hold
-    # until |b| passes a billion bits. Bit lengths have no digit limit.
-    return (num.bit_length() - den.bit_length() - 1) * 3010299956 // 10**10
-
-
-def _round_half_even(q: int, mag: int, digits: int, inexact: bool) -> tuple[int, int]:
-    """Round x to `digits` significant digits, half-even, in one pass.
-
-    q = floor(x 10^e) for e = digits - mag + 1, with mag at most two below
-    x's magnitude, so q carries one to three digits past `digits`; `inexact`
-    says whether x 10^e exceeds q. Returns the rounded digits and x's
-    magnitude. Only q, of about `digits` digits, is divided here.
-    """
-    top = 10**digits
-    unit = 10
-    while q >= top * unit:
-        unit *= 10
-        mag += 1
-    q, rest = divmod(q, unit)
-    if 2 * rest > unit or (2 * rest == unit and (inexact or q % 2 == 1)):
-        q += 1
-    if q == top:
-        q //= 10
-        mag += 1
-    return q, mag
-
-
 def _digit_string(q: int) -> str:
     """str(q), a leading "-" included for negative q. Past the interpreter's
     int-to-str digit limit (4300 by default) str(int) raises ValueError;
@@ -378,9 +347,63 @@ def _digit_string(q: int) -> str:
         return str(Decimal(q))
 
 
-def _place_digits(digit_str: str, mag: int, negative: bool) -> str:
+# 10**i for i < 64, built at import: nearly every rendering takes its scale
+# and its rounding bound from here rather than raising 10 to a power per value
+_POW10 = tuple(10**i for i in range(64))
+
+
+def _render(num: int, den: int, digits: int, negative: bool, root: bool) -> str:
+    """x = num/den (num, den > 0), or sqrt(num/den) when `root` is set, to
+    `digits` significant digits, half-even, with a leading "-" if `negative`.
+
+    One divmod (or one isqrt and a divmod) gives q = floor(x 10**e), where e
+    comes from a lower bound on x's magnitude that is at most two low, so q
+    carries one to three digits past `digits`. Only q, of about `digits`
+    digits, is then rounded. For a root, a tie is a tie only when the root
+    is exact and divides, so ties are resolved correctly even for perfect
+    squares.
+    """
+    # 2**(b-1) < num/den < 2**(b+1) for b the bit-length difference, and the
+    # constant is log10(2) rounded down to 10 digits, so mag is at most 2
+    # below the magnitude (10**(mag-1) <= num/den < 10**mag) until |b| passes
+    # a billion bits. Bit lengths have no digit limit.
+    mag = (num.bit_length() - den.bit_length() - 1) * 3010299956 // 10**10
+    if root:
+        # sqrt(v) has magnitude (M + 1) // 2 when v has magnitude M; the
+        # scale goes inside the root squared, or divides outside it
+        mag = (mag + 1) // 2
+        e = digits - mag + 1
+        big = num * den
+        if e >= 0:
+            big *= _POW10[2 * e] if e < 32 else 10 ** (2 * e)
+        else:
+            den *= _POW10[-e] if e > -64 else 10**-e
+        num = math.isqrt(big)
+        q, r = divmod(num, den)
+        inexact = r != 0 or num * num != big
+    else:
+        e = digits - mag + 1
+        if e >= 0:
+            num *= _POW10[e] if e < 64 else 10**e
+        else:
+            den *= _POW10[-e] if e > -64 else 10**-e
+        q, r = divmod(num, den)
+        inexact = r != 0
+    # half-even over the one to three guard digits
+    top = _POW10[digits] if digits < 64 else 10**digits
+    unit = 10
+    while q >= top * unit:
+        unit *= 10
+        mag += 1
+    q, rest = divmod(q, unit)
+    if 2 * rest > unit or (2 * rest == unit and (inexact or q & 1)):
+        q += 1
+    if q == top:
+        q //= 10
+        mag += 1
+    digit_str = _digit_string(q)
     if mag <= 0:
-        body = "0." + "0" * (-mag) + digit_str
+        body = "0." + "0" * -mag + digit_str
     elif mag >= len(digit_str):
         body = digit_str + "0" * (mag - len(digit_str))
     else:
@@ -389,27 +412,15 @@ def _place_digits(digit_str: str, mag: int, negative: bool) -> str:
 
 
 def sqrt_to_decimal(value: SignedSqrtRational, digits: int) -> str:
-    """Decimal expansion of sign * sqrt(radicand) to `digits` significant digits.
-
-    Computed via one integer square root of a scaled numerator with a guard
-    digit; a tie is a tie only when that root is exact, so ties are resolved
-    correctly even for perfect squares and the output is bit-exact on every
-    platform.
-    """
+    """Decimal expansion of sign * sqrt(radicand) to `digits` significant
+    digits, half-even; bit-exact on every platform (see `_render`)."""
     if digits < 1:
         raise ValueError(f"digits must be positive, got {digits}")
-    if value.sign == 0:
+    sign = value.sign
+    if sign == 0:
         return "0"
-    num, den = value.radicand.numerator, value.radicand.denominator
-    # sqrt(v) has magnitude (M + 1) // 2 when v has magnitude M
-    mag = (_magnitude_floor(num, den) + 1) // 2
-    e = digits - mag + 1
-    big_n, big_d = (num * den * 10**(2 * e), den) if e >= 0 else (num * den, den * 10**(-e))
-    root = math.isqrt(big_n)
-    q, r = divmod(root, big_d)
-    # q is sqrt(big_n)/big_d exactly only when the root is exact and divides
-    q, mag = _round_half_even(q, mag, digits, r != 0 or root * root != big_n)
-    return _place_digits(_digit_string(q), mag, value.sign < 0)
+    radicand = value.radicand
+    return _render(radicand._numerator, radicand._denominator, digits, sign < 0, True)
 
 
 def rational_to_decimal(value: Fraction | int, digits: int) -> str:
@@ -418,14 +429,9 @@ def rational_to_decimal(value: Fraction | int, digits: int) -> str:
         raise ValueError(f"digits must be positive, got {digits}")
     if not isinstance(value, Fraction):
         value = Fraction(value)
-    num, den = value.numerator, value.denominator
+    num = value._numerator
+    if num > 0:
+        return _render(num, value._denominator, digits, False, False)
     if num == 0:
         return "0"
-    negative = num < 0
-    num = abs(num)
-    mag = _magnitude_floor(num, den)
-    e = digits - mag + 1
-    scaled_num, scaled_den = (num * 10**e, den) if e >= 0 else (num, den * 10**(-e))
-    q, r = divmod(scaled_num, scaled_den)
-    q, mag = _round_half_even(q, mag, digits, r != 0)
-    return _place_digits(_digit_string(q), mag, negative)
+    return _render(-num, value._denominator, digits, True, False)

@@ -15,7 +15,14 @@ from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 
 from .angular import DegenerateLabels
-from .exact import _binomial_quotient_from_primes, _prime_path, _rational, _reduced, binomial
+from .exact import (
+    _PRIMES_MAX_CACHED,
+    _binomial_quotient_from_primes,
+    _prime_path,
+    _rational,
+    _reduced,
+    binomial,
+)
 from .hypseries import _terminating_sum
 
 __all__ = [
@@ -70,6 +77,23 @@ class SupportTooSmallError(ValueError):
 # 0.88-0.89 at 112, 0.84 at 128 and 0.73 at 160.
 _WALK_MIN_N3 = 160
 _PMF_WALK_MIN_N3 = 96
+
+# Measured crossover of one pmf point from prime exponents against the literal
+# quotient, on rows up to 2**16: from min(n2, n3 - n2) = _PMF_PRIME_MIN_K +
+# n3 // 32 on. The quotient does the prime work of three binomials, so it
+# starts later than `binomial`'s own rule. Fresh law per point, the two
+# alternating, best of 11-21 per law (2 cores, Python 3.11). On the shapes of
+# single-point requests (n1 = 0.4-0.6 n3, n2 = 0.2-0.3 n3, x near the mode,
+# 20 laws per n3, two sweeps) prime/literal read 1.54 at n3 = 1000, 1.13-1.15
+# at 1200-1400, 1.00-1.05 at 1800, 0.91-0.96 at 2000, 0.89-0.91 at 2200
+# (prime faster on 17 and 18 of 20), 0.85-0.86 at 3200 and 0.74 at 6000.
+# Across n2 (n1 = 0.4-0.6 n3, 8 laws each) it broke even near n2 = 490 at
+# n3 = 2000, 550 at 3000, 700 at 5000 and 850 at 10000, and between n2 = 788
+# (1.43) and 1576 (0.86-0.92) at 30000; at `binomial`'s own rule it read
+# 1.18-1.59 on every n3 from 2200 to 60000. Rows above 2**16 sieve their
+# primes per call in both routes, and there `binomial`'s rule holds: 0.79 at
+# its threshold at n3 = 70000, 0.73 at 120000 and 0.65 at 200000.
+_PMF_PRIME_MIN_K = 512
 
 
 @dataclass(frozen=True)
@@ -204,10 +228,10 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
       (N/g1)(a/g2) / ((D/g2)(b/g1)) is in lowest terms because
       gcd(N, D) = gcd(a, b) = 1: two gcds with a small operand replace one
       gcd of two big integers.
-    - Prime exponents. Any other x in the support, on a law where
-      binomial(n3, n2) itself takes its prime path (min(n2, n3-n2) from
-      exact._PRIME_MIN_K + n3 // 64 on rows up to 2**16, from
-      exact._PRIME_MIN_K_SIEVED + n3 // 64 above), is built in lowest terms
+    - Prime exponents. Any other x in the support, on a law with
+      min(n2, n3-n2) from _PMF_PRIME_MIN_K + n3 // 32 on rows up to 2**16,
+      or where binomial(n3, n2) itself takes its prime path above (from
+      exact._PRIME_MIN_K_SIEVED + n3 // 64), is built in lowest terms
       from the primes' exponent sums, with no big-integer gcd or division
       and without the normaliser (`exact._binomial_quotient_from_primes`).
     Any other x reduces `_numerator(x)` over the normaliser afresh. `_pmf`
@@ -226,17 +250,21 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
         a = (n1 - x + 1) * (n2 - x + 1)
         b = x * (n3 - n1 - n2 + x)
         g = math.gcd(a, b)
-        a //= g
-        b //= g
-        num, den = q.numerator, q.denominator
+        if g != 1:
+            a //= g
+            b //= g
+        num, den = q._numerator, q._denominator
         g1 = math.gcd(num, b)
         g2 = math.gcd(a, den)
         num = num // g1 * (a // g2)
         q = _reduced(num, den // g2 * (b // g1))
     else:
         primes = None
-        if max(0, n1 + n2 - n3) <= x <= min(n1, n2):
-            primes = _prime_path(n3, min(n2, n3 - n2))
+        k = min(n2, n3 - n2)
+        if max(0, n1 + n2 - n3) <= x <= min(n1, n2) and (
+            n3 > _PRIMES_MAX_CACHED or k >= _PMF_PRIME_MIN_K + (n3 >> 5)
+        ):
+            primes = _prime_path(n3, k)
         if primes is None:
             num = params._numerator(x)
             q = Fraction(num, params._normaliser_value())
@@ -371,25 +399,44 @@ def binomial_convolve(a: BinomialParams, b: BinomialParams) -> PmfTable:
 
         sum_j num_a(j) num_b(k - j) / v^(a.trials + b.trials),
 
-    summed on plain integers and reduced once per k. The double loop stays a
-    literal convolution on purpose: closure under convolution is an identity
-    the verify suite checks, and computing the result from the merged law
-    (or Vandermonde's identity) would make that check true by construction.
+    reduced by one gcd per k. All the sums come from one big-integer product
+    (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44 (2009) 1502):
+    each side's numerators are packed into one integer, one per slot of w
+    bytes, so slot k of the product is the k-th sum. Every term is
+    nonnegative and the sums add up to v^a.trials v^b.trials, so w bytes
+    that hold v^(a.trials + b.trials) leave no carry between slots. The
+    product still forms every num_a(j) num_b(k - j): closure under
+    convolution is an identity the verify suite checks, and computing the
+    result from the merged law (or Vandermonde's identity) would make that
+    check true by construction.
     """
     if a.p != b.p:
         raise MismatchedPError(f"common p required, got {a.p} and {b.p}")
-    num_a = [_pmf_numerator(a.trials, a.p, j) for j in range(a.trials + 1)]
-    num_b = [_pmf_numerator(b.trials, b.p, j) for j in range(b.trials + 1)]
-    denominator = a.p.denominator ** (a.trials + b.trials)
+    p = a.p
+    denominator = p.denominator ** (a.trials + b.trials)
+    width = (denominator.bit_length() + 7) // 8
+    sums = _slot_sums(
+        [_pmf_numerator(a.trials, p, j) for j in range(a.trials + 1)],
+        [_pmf_numerator(b.trials, p, j) for j in range(b.trials + 1)],
+        width,
+    )
     entries = []
-    for k in range(a.trials + b.trials + 1):
-        # j and k - j outside the two supports contribute zero terms
-        total = sum(
-            num_a[j] * num_b[k - j]
-            for j in range(max(0, k - b.trials), min(k, a.trials) + 1)
-        )
-        entries.append((k, Fraction(total, denominator)))
+    for k, total in enumerate(sums):
+        g = math.gcd(total, denominator)
+        entries.append((k, _reduced(total // g, denominator // g)))
     return PmfTable(tuple(entries))
+
+
+def _slot_sums(num_a: list[int], num_b: list[int], width: int) -> list[int]:
+    """sum_j num_a[j] num_b[k - j] for every k, from one product of the two
+    lists packed into slots of `width` bytes; every entry and every sum
+    must fit in a slot, or the packing raises OverflowError or the sums
+    carry into each other."""
+    packed_a = int.from_bytes(b"".join([n.to_bytes(width, "little") for n in num_a]), "little")
+    packed_b = int.from_bytes(b"".join([n.to_bytes(width, "little") for n in num_b]), "little")
+    size = len(num_a) + len(num_b) - 1
+    raw = memoryview((packed_a * packed_b).to_bytes(width * size, "little"))
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, width * size, width)]
 
 
 def conditional_probability(labels: DegenerateLabels, p: Fraction | int | str) -> Fraction:

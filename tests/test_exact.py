@@ -596,3 +596,116 @@ def test_digit_string_falls_back_to_decimal_past_the_int_str_limit():
     for q in (10**4300, -(10**4300) - 1, 7**6000):
         assert exact._digit_string(q) == str(Decimal(q))
     assert sys.get_int_max_str_digits() == limit
+
+
+# The renderers as they were before they shared one core, kept as the
+# reference the core must match character for character.
+def _reference_magnitude_floor(num: int, den: int) -> int:
+    return (num.bit_length() - den.bit_length() - 1) * 3010299956 // 10**10
+
+
+def _reference_round_half_even(q: int, mag: int, digits: int, inexact: bool) -> tuple[int, int]:
+    top = 10**digits
+    unit = 10
+    while q >= top * unit:
+        unit *= 10
+        mag += 1
+    q, rest = divmod(q, unit)
+    if 2 * rest > unit or (2 * rest == unit and (inexact or q % 2 == 1)):
+        q += 1
+    if q == top:
+        q //= 10
+        mag += 1
+    return q, mag
+
+
+def _reference_place_digits(digit_str: str, mag: int, negative: bool) -> str:
+    if mag <= 0:
+        body = "0." + "0" * (-mag) + digit_str
+    elif mag >= len(digit_str):
+        body = digit_str + "0" * (mag - len(digit_str))
+    else:
+        body = digit_str[:mag] + "." + digit_str[mag:]
+    return "-" + body if negative else body
+
+
+def _reference_sqrt_to_decimal(value: SignedSqrtRational, digits: int) -> str:
+    if value.sign == 0:
+        return "0"
+    num, den = value.radicand.numerator, value.radicand.denominator
+    mag = (_reference_magnitude_floor(num, den) + 1) // 2
+    e = digits - mag + 1
+    big_n, big_d = (num * den * 10 ** (2 * e), den) if e >= 0 else (num * den, den * 10 ** (-e))
+    root = math.isqrt(big_n)
+    q, r = divmod(root, big_d)
+    q, mag = _reference_round_half_even(q, mag, digits, r != 0 or root * root != big_n)
+    return _reference_place_digits(exact._digit_string(q), mag, value.sign < 0)
+
+
+def _reference_rational_to_decimal(value, digits: int) -> str:
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    num, den = value.numerator, value.denominator
+    if num == 0:
+        return "0"
+    negative = num < 0
+    num = abs(num)
+    mag = _reference_magnitude_floor(num, den)
+    e = digits - mag + 1
+    scaled_num, scaled_den = (num * 10**e, den) if e >= 0 else (num, den * 10 ** (-e))
+    q, r = divmod(scaled_num, scaled_den)
+    q, mag = _reference_round_half_even(q, mag, digits, r != 0)
+    return _reference_place_digits(exact._digit_string(q), mag, negative)
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+def _render_cases(rng: random.Random):
+    """(value, digits) pairs: the scale exponent e = digits - mag + 1 on both
+    sides of the power table's +-64 edge (+-32 for a root's squared scale),
+    digits 1-100 across 10**64, operands past 4300 digits, near-ties, zero,
+    negative values, ints and a Fraction subclass."""
+    for _ in range(2000):
+        digits = rng.choice((rng.randint(1, 100), rng.randint(60, 68)))
+        e = rng.choice((rng.randint(-70, -58), rng.randint(26, 38), rng.randint(58, 70), rng.randint(-300, 300)))
+        mag = digits + 1 - e
+        size = rng.choice((1, 3, 20, 60, 200))
+        num = rng.randrange(1, 10**size)
+        den = rng.randrange(1, 10**size)
+        # num/den * 10**shift has magnitude about mag
+        shift = mag - (len(str(num)) - len(str(den)))
+        value = Fraction(num * 10**shift, den) if shift >= 0 else Fraction(num, den * 10**-shift)
+        if rng.random() < 0.2:
+            # a half-unit tie at `digits` digits, or one unit beside it
+            unit = Fraction(10) ** (mag - digits)
+            value = (value // unit + Fraction(1, 2)) * unit + rng.choice((0, 0, unit / 10**30, -unit / 10**30))
+        yield value, digits
+    for _ in range(20):
+        num = rng.randrange(10**4300, 10**4400)
+        den = rng.randrange(10**4300, 10**4500)
+        yield Fraction(num, den), rng.randint(1, 100)
+        yield Fraction(num, rng.randrange(1, 10**20)), rng.randint(1, 100)
+        yield Fraction(rng.randrange(1, 10**20), den), rng.randint(1, 100)
+    yield Fraction(0), 15
+
+
+def test_renderers_equal_the_pre_core_renderers():
+    rng = random.Random(1802)
+    for value, digits in _render_cases(rng):
+        for signed in (value, -value):
+            assert rational_to_decimal(signed, digits) == _reference_rational_to_decimal(signed, digits), (signed, digits)
+        sub = _FractionSubclass(value.numerator, value.denominator)
+        assert rational_to_decimal(sub, digits) == _reference_rational_to_decimal(sub, digits)
+        if value:
+            for sign in (1, -1):
+                root = SignedSqrtRational(sign, value)
+                assert sqrt_to_decimal(root, digits) == _reference_sqrt_to_decimal(root, digits), (sign, value, digits)
+            square = SignedSqrtRational(1, value * value)
+            assert sqrt_to_decimal(square, digits) == _reference_sqrt_to_decimal(square, digits)
+        assert sqrt_to_decimal(SignedSqrtRational.zero(), digits) == "0"
+    for _ in range(500):
+        n = rng.choice((rng.randrange(-(10**30), 10**30), rng.randrange(-(10**4400), 10**4400), 10 ** rng.randint(0, 80)))
+        digits = rng.randint(1, 100)
+        assert rational_to_decimal(n, digits) == _reference_rational_to_decimal(n, digits), (n, digits)

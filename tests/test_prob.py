@@ -438,10 +438,11 @@ class TestPmfWalk:
 
 
 def _prime_crossover(n3: int) -> int:
-    """The least min(n2, n3 - n2) on which binomial(n3, n2) takes its prime
-    path, and with it an off-walk pmf point its prime route."""
+    """The least min(n2, n3 - n2) on which an off-walk pmf point takes its
+    prime route: the quotient's own crossover on rows up to 2**16, and
+    binomial(n3, n2)'s prime path on rows that sieve per call."""
     if n3 <= exact._PRIMES_MAX_CACHED:
-        return exact._PRIME_MIN_K + n3 // 64
+        return prob._PMF_PRIME_MIN_K + n3 // 32
     return exact._PRIME_MIN_K_SIEVED + n3 // 64
 
 
@@ -452,9 +453,9 @@ def _assert_literal_fields(q: Fraction, n1: int, n2: int, n3: int, x: int, norma
 
 
 class TestPmfPrimeRoute:
-    """Off the walk, on a law where binomial(n3, n2) takes its prime path,
-    a pmf point is built in lowest terms from prime exponents; it must hold
-    the fields of the literal quotient."""
+    """Off the walk, on a law past the prime route's crossover, a pmf point
+    is built in lowest terms from prime exponents; it must hold the fields
+    of the literal quotient."""
 
     @staticmethod
     def _grid() -> list[tuple[int, int, int]]:
@@ -462,8 +463,8 @@ class TestPmfPrimeRoute:
         # cached rows and on rows above 2**16 that sieve per call; n1 spans
         # small and large marked counts, some below sqrt(n3) on either side
         rng = random.Random(17)
-        laws = [(74, 3709, 5705), (5705 - 74, 3709, 5705), (10, 700, 1400)]
-        for n3 in (640, 660, 1000, 4096, 39239, 65536, 65537, 70000):
+        laws = [(74, 3709, 5705), (5705 - 74, 3709, 5705), (10, 700, 1400), (700, 351, 1400)]
+        for n3 in (1100, 1400, 2200, 4096, 39239, 65536, 65537, 70000):
             j = _prime_crossover(n3)
             n2s = [j - 1, j, n3 - j] + ([j + 1, n3 // 2] if n3 <= 4096 else [])
             root = math.isqrt(n3)
@@ -802,6 +803,68 @@ class TestBinomialAgainstReference:
                 assert table.entries == tuple(
                     (k, self.reference(total, p, k)) for k in range(total + 1)
                 )
+
+
+def _literal_sums(num_a: list[int], num_b: list[int]) -> list[int]:
+    """sum_j num_a[j] num_b[k - j] for every k, by the double loop that
+    binomial_convolve ran before its packed product; kept as the reference."""
+    t1, t2 = len(num_a) - 1, len(num_b) - 1
+    return [
+        sum(num_a[j] * num_b[k - j] for j in range(max(0, k - t2), min(k, t1) + 1))
+        for k in range(t1 + t2 + 1)
+    ]
+
+
+class TestPackedConvolution:
+    """binomial_convolve's one packed product against the literal double loop."""
+
+    PS = (Fraction(0), Fraction(1), HALF, THIRD, Fraction(3, 10), Fraction(2, 7), Fraction(99, 100))
+
+    @staticmethod
+    def _numerators(trials: int, p: Fraction) -> list[int]:
+        return [prob._pmf_numerator(trials, p, j) for j in range(trials + 1)]
+
+    @staticmethod
+    def _width(p: Fraction, trials: int) -> int:
+        """The bytes that hold v^trials, the slot width binomial_convolve uses."""
+        return ((p.denominator**trials).bit_length() + 7) // 8
+
+    def test_slots_equal_the_literal_double_loop(self):
+        # trials 0-40 on either side, against short, equal and long partners
+        for p in self.PS:
+            for t1 in range(41):
+                for t2 in sorted({0, 1, t1, 40 - t1, 40}):
+                    num_a, num_b = self._numerators(t1, p), self._numerators(t2, p)
+                    literal = _literal_sums(num_a, num_b)
+                    assert prob._slot_sums(num_a, num_b, self._width(p, t1 + t2)) == literal, (p, t1, t2)
+                    denominator = p.denominator ** (t1 + t2)
+                    entries = binomial_convolve(BinomialParams(t1, p), BinomialParams(t2, p)).entries
+                    assert [k for k, _ in entries] == list(range(t1 + t2 + 1))
+                    for (k, q), total in zip(entries, literal):
+                        want = Fraction(total, denominator)
+                        assert type(q) is Fraction and _fields(q) == _fields(want), (p, t1, t2, k)
+
+    def test_a_slot_one_byte_narrower_fails(self, monkeypatch):
+        # at p = 0 and p = 1, v = 1 and the whole mass v^(t1+t2) sits in one
+        # slot, so the bound is tight; at p = 99/100 the largest slot needs
+        # every byte of it as well. The width is the one binomial_convolve
+        # packs with, so narrowing it there fails here too.
+        widths = []
+        real = prob._slot_sums
+        monkeypatch.setattr(prob, "_slot_sums", lambda a, b, width: widths.append(width) or real(a, b, width))
+        for p in (Fraction(0), Fraction(1), Fraction(99, 100)):
+            for t1, t2 in ((0, 0), (1, 1), (7, 3), (0, 40), (40, 40)):
+                num_a, num_b = self._numerators(t1, p), self._numerators(t2, p)
+                literal = _literal_sums(num_a, num_b)
+                entries = binomial_convolve(BinomialParams(t1, p), BinomialParams(t2, p)).entries
+                assert [q * p.denominator ** (t1 + t2) for _, q in entries] == literal
+                width = widths.pop()
+                assert width == self._width(p, t1 + t2)
+                try:
+                    narrowed = real(num_a, num_b, width - 1)
+                except OverflowError:
+                    continue
+                assert narrowed != literal, (p, t1, t2)
 
 
 class TestConditionalProbability:
