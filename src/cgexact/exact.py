@@ -430,8 +430,6 @@ def rational_to_decimal(value: Fraction | int, digits: int) -> str:
     if not isinstance(value, Fraction):
         value = Fraction(value)
     num = value._numerator
-    if num > 0:
-        return _render(num, value._denominator, digits, False, False)
     if num == 0:
         return "0"
-    return _render(-num, value._denominator, digits, True, False)
+    return _render(abs(num), value._denominator, digits, num < 0, False)
