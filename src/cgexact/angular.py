@@ -14,7 +14,15 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .exact import SignedSqrtRational, _trusted, binomial, factorial
+from .exact import (
+    SignedSqrtRational,
+    _fraction,
+    _product_parts,
+    _reduced,
+    _trusted,
+    binomial,
+    factorial,
+)
 from .hypseries import _terminating_sum
 
 __all__ = [
@@ -294,7 +302,7 @@ def cg_racah(labels: CgLabels) -> SignedSqrtRational:
         return SignedSqrtRational.zero()
     ta, tb, tc = labels.a.twice, labels.b.twice, labels.c.twice
     p = (ta + tb - tc) // 2
-    bracket = Fraction(
+    bracket = _fraction(
         binomial(ta, p) * binomial(tb, p),
         binomial((ta + tb + tc) // 2 + 1, p)
         * binomial(ta, (ta - labels.alpha.twice) // 2)
@@ -309,7 +317,7 @@ def delta_abc(a: HalfInt, b: HalfInt, c: HalfInt) -> SignedSqrtRational:
     ta, tb, tc = a.twice, b.twice, c.twice
     if _triangle_violation(ta, tb, tc):
         raise TriangleViolationError(f"({a}, {b}, {c}) violates the triangle rule")
-    radicand = Fraction(
+    radicand = _fraction(
         factorial((ta + tb - tc) // 2)
         * factorial((ta - tb + tc) // 2)
         * factorial((tb + tc - ta) // 2),
@@ -345,7 +353,7 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
     bm = (tb - tbe) // 2  # b-beta
     b1 = (tc - ta - tbe) // 2 + 1  # -a+c-beta+1
     b2 = (tc - tb + tal) // 2 + 1  # -b+c+alpha+1
-    bracket = Fraction(
+    bracket = _fraction(
         factorial(ap)
         * factorial(bm)
         * factorial((tc + tg) // 2)
@@ -366,13 +374,16 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
         -first_num if k0 % 2 else first_num, first_den,
     )
     delta2 = delta_abc(labels.a, labels.b, labels.c).radicand
-    return SignedSqrtRational.from_scaled_sqrt(coeff, delta2 * bracket)
+    num, den = _product_parts(
+        delta2._numerator, delta2._denominator, bracket._numerator, bracket._denominator
+    )
+    return SignedSqrtRational.from_scaled_sqrt(coeff, _reduced(num, den))
 
 
 def cg_degenerate_squared(labels: DegenerateLabels) -> Fraction:
     """Squared stretched coefficient as the three-binomial ratio
     C(l1,k1) C(l2,k2) / C(l,k)."""
-    return Fraction(
+    return _fraction(
         binomial(labels.l1, labels.k1) * binomial(labels.l2, labels.k2),
         binomial(labels.l, labels.k),
     )
@@ -427,7 +438,7 @@ def _lowering_states(ta: int, tb: int, first: int) -> Iterator[ProductStateVecto
         norm2 = sum(squares)
         yield ProductStateVector(
             {
-                (m1s[s - j], m2s[j]): _trusted(1, Fraction(q, norm2))
+                (m1s[s - j], m2s[j]): _trusted(1, _fraction(q, norm2))
                 for j, q in enumerate(squares, lo)
             }
         )
@@ -465,5 +476,5 @@ def cg_to_3jm(labels: CgLabels, cg: SignedSqrtRational) -> SignedSqrtRational:
         raise PhaseUndefinedError(
             f"a - b + gamma = {HalfInt(phase_twice)} is not an integer"
         )
-    out = cg.scale_sqrt(Fraction(1, labels.c.twice + 1))
+    out = cg.scale_sqrt(_reduced(1, labels.c.twice + 1))
     return -out if (phase_twice // 2) % 2 else out

@@ -241,6 +241,43 @@ def _reduced(num: int, den: int) -> Fraction:
     return value
 
 
+def _fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for ints, reduced here by one gcd: a negative den
+    moves its sign to num, and den = 0 raises ZeroDivisionError as Fraction
+    does (with a message that does not print num, which may be past the
+    int-to-str digit limit). Fraction's constructor would take the same gcd
+    behind its type dispatch."""
+    if den <= 0:
+        if not den:
+            raise ZeroDivisionError("Fraction with denominator 0")
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return _reduced(num, den)
+
+
+def _product_parts(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """Numerator and denominator of (an/ad)(bn/bd) in lowest terms, for two
+    fractions in lowest terms with ad, bd > 0.
+
+    No prime of an divides ad and none of bn divides bd, so gcd(an, bd) and
+    gcd(bn, ad) take out every common factor of the product: Fraction's own
+    product rule (CPython 3.12 on), two gcds of the factors in place of one
+    gcd of the products.
+    """
+    g = math.gcd(an, bd)
+    if g != 1:
+        an //= g
+        bd //= g
+    g = math.gcd(bn, ad)
+    if g != 1:
+        bn //= g
+        ad //= g
+    return an * bn, ad * bd
+
+
 def _rational(x: Fraction | int) -> Fraction | int:
     """x as a Fraction, or x itself when it is already an int or a Fraction:
     Fraction(x) on a Fraction goes through the numbers.Rational ABC check."""
@@ -285,10 +322,9 @@ class SignedSqrtRational:
         if c_num == 0 or r_num == 0:
             return _ZERO
         c_den = coeff.denominator
-        return _trusted(
-            1 if c_num > 0 else -1,
-            Fraction(c_num * c_num * r_num, c_den * c_den * radicand.denominator),
-        )
+        # c_num**2 / c_den**2 is in lowest terms as c_num / c_den is
+        num, den = _product_parts(c_num * c_num, c_den * c_den, r_num, radicand.denominator)
+        return _trusted(1 if c_num > 0 else -1, _reduced(num, den))
 
     @property
     def is_zero(self) -> bool:
@@ -300,7 +336,9 @@ class SignedSqrtRational:
         sign = self.sign * other.sign
         if sign == 0:
             return _ZERO
-        return _trusted(sign, self.radicand * other.radicand)
+        a, b = self.radicand, other.radicand
+        num, den = _product_parts(a._numerator, a._denominator, b._numerator, b._denominator)
+        return _trusted(sign, _reduced(num, den))
 
     def __neg__(self) -> "SignedSqrtRational":
         if self.sign == 0:
@@ -314,7 +352,11 @@ class SignedSqrtRational:
             raise ValueError(f"sqrt scale factor must be nonnegative, got {factor}")
         if factor.numerator == 0 or self.sign == 0:
             return _ZERO
-        return _trusted(self.sign, self.radicand * factor)
+        radicand = self.radicand
+        num, den = _product_parts(
+            radicand._numerator, radicand._denominator, factor.numerator, factor.denominator
+        )
+        return _trusted(self.sign, _reduced(num, den))
 
     def __str__(self) -> str:
         if self.sign == 0:

@@ -12,9 +12,10 @@ denominator, reduced once into a single `Fraction` at the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .exact import _fraction
 
 __all__ = [
     "NonTerminatingError",
@@ -102,11 +103,22 @@ def _terminating_sum(
 
     so the sum is t_start * (1 + r(start+1) (1 + r(start+2) (... (1 + r(cutoff))))),
     r = N/D, accumulated on integers from the innermost bracket out.
+
+    The integers keep their signs, so the final denominator is negative
+    whenever an odd number of its factors are (a negative lower factor
+    b + k - 1 for general lower parameters, or a negative first_den); the
+    reduction moves that sign to the numerator, as Fraction(num, den) does,
+    and the value's denominator is positive.
     """
-    scale_num = argument.numerator * math.prod(b.denominator for b in lower)
-    scale_den = argument.denominator * math.prod(a.denominator for a in upper)
-    ups = [(a.numerator, a.denominator) for a in upper]
-    lows = [(b.numerator, b.denominator) for b in lower]
+    scale_num, scale_den = argument.numerator, argument.denominator
+    ups = []
+    for a in upper:
+        scale_den *= a.denominator
+        ups.append((a.numerator, a.denominator))
+    lows = []
+    for b in lower:
+        scale_num *= b.denominator
+        lows.append((b.numerator, b.denominator))
     num = den = 1
     for k in range(cutoff, start, -1):
         m = k - 1
@@ -118,7 +130,7 @@ def _terminating_sum(
             d *= p + q * m
         den *= d
         num = den + n * num
-    return Fraction(first_num * num, first_den * den)
+    return _fraction(first_num * num, first_den * den)
 
 
 def eval_3f2_unit(params: SeriesParams3F2) -> Fraction:

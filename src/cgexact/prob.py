@@ -18,6 +18,7 @@ from .angular import DegenerateLabels
 from .exact import (
     _PRIMES_MAX_CACHED,
     _binomial_quotient_from_primes,
+    _fraction,
     _prime_path,
     _rational,
     _reduced,
@@ -243,7 +244,7 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
         # read directly once built: every point of these laws reads it, and a
         # method call per point made their pmf tables about 4% slower
         normaliser = params._normaliser or params._normaliser_value()
-        return Fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), normaliser)
+        return _fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), normaliser)
     last = params._pmf
     if last is not None and last[0] == x - 1:
         q = last[1]
@@ -267,7 +268,7 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
             primes = _prime_path(n3, k)
         if primes is None:
             num = params._numerator(x)
-            q = Fraction(num, params._normaliser_value())
+            q = _fraction(num, params._normaliser_value())
         else:
             q = _binomial_quotient_from_primes(n1, x, n3 - n1, n2 - x, primes)
             num = q.numerator
@@ -286,7 +287,7 @@ def hypergeom_pgf(params: HypergeomParams, t: Fraction | int) -> Fraction:
     positive for every x > x0, so no law has a pole, and at x0 = 0 this is
     C(n3-n1,n2)/C(n3,n2) * 2F1(-n1, -n2; n3-n1-n2+1; t).
     """
-    t = Fraction(t)
+    t = _rational(t)
     n1, n2, n3 = params.n1, params.n2, params.n3
     x0 = max(0, n1 + n2 - n3)
     first_num = params._numerator(x0) * t.numerator**x0
@@ -360,7 +361,7 @@ def hypergeom_mean(params: HypergeomParams) -> Fraction:
     """E[X] = n1 n2 / n3."""
     if params.n3 < 1:
         raise ValueError("mean needs n3 >= 1")
-    return Fraction(params.n1 * params.n2, params.n3)
+    return _fraction(params.n1 * params.n2, params.n3)
 
 
 def hypergeom_variance(params: HypergeomParams) -> Fraction:
@@ -368,7 +369,7 @@ def hypergeom_variance(params: HypergeomParams) -> Fraction:
     if params.n3 < 2:
         raise DegenerateDistributionError("variance needs n3 >= 2")
     n1, n2, n3 = params.n1, params.n2, params.n3
-    return Fraction(n1 * n2 * (n3 - n1) * (n3 - n2), n3 * n3 * (n3 - 1))
+    return _fraction(n1 * n2 * (n3 - n1) * (n3 - n2), n3 * n3 * (n3 - 1))
 
 
 def _pmf_numerator(trials: int, p: Fraction, r: int) -> int:
@@ -387,7 +388,7 @@ def binomial_pmf(params: BinomialParams, r: int) -> Fraction:
     if r < 0 or r > params.trials:
         return Fraction(0)
     trials, p = params.trials, params.p
-    return Fraction(_pmf_numerator(trials, p, r), p.denominator**trials)
+    return _fraction(_pmf_numerator(trials, p, r), p.denominator**trials)
 
 
 def binomial_convolve(a: BinomialParams, b: BinomialParams) -> PmfTable:
@@ -450,7 +451,7 @@ def conditional_probability(labels: DegenerateLabels, p: Fraction | int | str) -
     p = _rational(p)
     if not 0 < p.numerator < p.denominator:
         raise DegenerateConditioningError(f"p must lie strictly inside (0, 1), got {p}")
-    return Fraction(
+    return _fraction(
         _pmf_numerator(labels.l1, p, labels.k1) * _pmf_numerator(labels.l2, p, labels.k2),
         _pmf_numerator(labels.l, p, labels.k),
     )
@@ -492,5 +493,5 @@ def binomial_limit_tv(
             abs(law._numerator(x) * scale - num * normaliser)
             for x, num in enumerate(binomial_nums)
         )
-        results.append((n3, Fraction(total, 2 * normaliser * scale)))
+        results.append((n3, _fraction(total, 2 * normaliser * scale)))
     return results

@@ -284,6 +284,36 @@ def test_backend_agreement_small_sweep():
                                 _assert_canonical(cg_to_3jm(labels, racah))
 
 
+# Twice each label (2a, 2alpha, 2b, 2beta, 2c, 2gamma): coeff_large_j shapes at
+# 2j = 300-400, two on the literal 3F2 branch (lower parameters c-a-beta+1 and
+# c-b+alpha+1 both positive), two on the regularized one and one stretched
+# set, then the CI label a = b = 2000, c = 2400 (2j = 4000)
+_LARGE_J_LABELS = [
+    (315, 75, 318, -64, 273, 11),
+    (373, 19, 290, -68, 317, -49),
+    (360, -54, 400, -2, 228, -56),
+    (386, -76, 376, 56, 302, -20),
+    (180, 20, 180, -16, 360, 4),
+    (4000, 2, 4000, -2, 4800, 0),
+]
+
+
+def test_large_j_values_are_in_lowest_terms():
+    # the backends build radicands with exact._reduced, which trusts its
+    # input, and two values whose radicands hold the same unreduced factor
+    # still compare equal; so the fields themselves are checked
+    values = []
+    for twice in _LARGE_J_LABELS:
+        labels = CgLabels.from_twice(*twice)
+        racah, series = cg_racah(labels), cg_3f2(labels)
+        assert racah == series and not racah.is_zero
+        for value in (racah, series, cg_to_3jm(labels, racah)):
+            _assert_canonical(value)
+        values.append(racah)
+    for x, y in itertools.combinations(values, 2):
+        _assert_canonical(x * y)
+
+
 class TestDeltaAbc:
     def test_examples(self):
         zero = HalfInt(0)

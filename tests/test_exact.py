@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -284,6 +285,54 @@ def test_reduced_is_the_fraction_of_coprime_ints():
         restored = pickle.loads(pickle.dumps(got))
         assert type(restored) is Fraction
         assert (restored.numerator, restored.denominator) == (n, d)
+
+
+def _fraction_grid() -> list[tuple[int, int]]:
+    """Seeded (num, den) int pairs for Fraction(num, den): every |num| <= 6
+    over every den in +-1..6 (zero, negative and den = 1 included), then
+    pairs that share a random factor, some past 4300 digits."""
+    rng = random.Random(19)
+    pairs = [(n, d) for n in range(-6, 7) for d in range(-6, 7) if d]
+    factors = [1, 2**64 + 13, 3**200, 10**4400 + 1]
+    for _ in range(60):
+        g = rng.choice(factors) * rng.randint(1, 30)
+        n = g * rng.randint(-(10**6), 10**6) * rng.choice(factors)
+        d = g * rng.choice((-1, 1)) * rng.randint(1, 10**6) * rng.choice(factors)
+        pairs.append((n, d))
+    return pairs
+
+
+def test_fraction_is_the_fraction_of_ints():
+    for n, d in _fraction_grid():
+        got, want = exact._fraction(n, d), Fraction(n, d)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got == want and want == got and hash(got) == hash(want)
+        try:
+            pickled = pickle.dumps(want)
+        except ValueError:  # pickled through str(), which stops at 4300 digits
+            with pytest.raises(ValueError):
+                pickle.dumps(got)
+        else:
+            assert pickle.dumps(got) == pickled
+            restored = pickle.loads(pickle.dumps(got))
+            assert type(restored) is Fraction and restored == want
+    for n in (0, 5, -(10**4400)):
+        with pytest.raises(ZeroDivisionError):
+            exact._fraction(n, 0)
+
+
+def test_product_parts_is_the_fraction_product():
+    # lowest-terms values from the grid: every small one, so that both
+    # cross gcds (an with bd, bn with ad) take out factors, and every fifth
+    # big one
+    grid = _fraction_grid()
+    values = sorted({Fraction(n, d) for n, d in grid[:156]})
+    values += [Fraction(n, d) for n, d in grid[156::5]]
+    for a, b in itertools.product(values, repeat=2):
+        want = a * b
+        got = exact._product_parts(a.numerator, a.denominator, b.numerator, b.denominator)
+        assert got == (want.numerator, want.denominator)
 
 
 class TestSignedSqrtRational:
