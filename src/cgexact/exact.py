@@ -1,11 +1,11 @@
 """Exact arithmetic kernels.
 
-Cached factorials, binomials with the out-of-support-zero convention, rising
-factorials over rationals, the signed-square-root value type, and decimal
-rendering that never touches machine floating point. Binomials come from
-math.comb below a measured crossover and from Legendre prime exponents
-above it, where math.comb's big-integer divisions dominate; the same
-exponents give a quotient of three binomials directly in lowest terms.
+Cached factorials, binomials with the out-of-support-zero convention, the
+signed-square-root value type, and decimal rendering that never touches
+machine floating point. Binomials come from math.comb below a measured
+crossover and from Legendre prime exponents above it, where math.comb's
+big-integer divisions dominate; the same exponents give a quotient of
+three binomials directly in lowest terms.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "SignedSqrtRational",
     "binomial",
     "factorial",
-    "pochhammer",
     "rational_to_decimal",
     "sqrt_to_decimal",
 ]
@@ -217,17 +216,6 @@ def _product(xs: list[int], lo: int, hi: int) -> int:
         return math.prod(xs[lo:hi])
     mid = (lo + hi) // 2
     return _product(xs, lo, mid) * _product(xs, mid, hi)
-
-
-def pochhammer(a: Fraction | int, k: int) -> Fraction:
-    """Rising factorial a(a+1)...(a+k-1); the empty product (k = 0) is 1."""
-    if k < 0:
-        raise ValueError(f"pochhammer with negative length {k}")
-    acc = Fraction(1)
-    a = Fraction(a)
-    for i in range(k):
-        acc *= a + i
-    return acc
 
 
 def _reduced(num: int, den: int) -> Fraction:

@@ -10,6 +10,7 @@ the exact pmf, never a parallel implementation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
@@ -67,17 +68,13 @@ class SupportTooSmallError(ValueError):
     """n2 exceeds min(n1, n3 - n1); the comparison needs full support [0, n2]."""
 
 
-# Measured crossovers. Below _WALK_MIN_N3, two math.comb calls in C per point
-# beat stepping both binomials in Python. Walk / math.comb per point on 40
-# laws per n3 shaped as the benchmark's pmf tables, best of 40 (2 cores,
-# Python 3.11): 1.13 at n3 = 96, 1.02-1.34 at 128, 0.95-1.00 at 160, 0.82 at
-# 256. The reduced pmf walk wins earlier: on the same shapes, whole supports
-# walked against one reduced quotient per point, the two alternating, best
-# of 21 per law, read 1.03-1.11 at n3 <= 48, 1.00-1.03 at 64, 0.98-1.00 at
+# Measured crossover of the reduced pmf walk. On 40 laws per n3 shaped as the
+# benchmark's pmf tables, whole supports walked against one reduced quotient
+# per point, the two alternating, best of 21 per law (2 cores, Python 3.11),
+# walk / quotient read 1.03-1.11 at n3 <= 48, 1.00-1.03 at 64, 0.98-1.00 at
 # 72 and 80, 0.93-0.94 at 88, 0.92 at 96 (walk faster on 30 of 40 laws),
 # 0.88-0.89 at 112, 0.84 at 128 and 0.73 at 160.
-_WALK_MIN_N3 = 160
-_PMF_WALK_MIN_N3 = 96
+_PMF_STEP_MIN_N3 = 96
 
 # Measured crossover of one pmf point from prime exponents against the literal
 # quotient, on rows up to 2**16: from min(n2, n3 - n2) = _PMF_PRIME_MIN_K +
@@ -101,25 +98,24 @@ _PMF_PRIME_MIN_K = 512
 class HypergeomParams:
     """Draw n2 items from n3 of which n1 are marked; X counts marked draws.
 
-    Outside the dataclass fields, a law keeps what its pmf, pgf and mgf
-    calls build, so eq, hash, repr, `replace` and `astuple` see only
-    (n1, n2, n3), and a pickled law equals the original:
+    Outside the dataclass fields, a law keeps what its pmf calls build, so
+    eq, hash, repr, `replace` and `astuple` see only (n1, n2, n3), and a
+    pickled law equals the original:
     - `_normaliser`, the pmf normaliser C(n3, n2), built on the first call
       to `_normaliser_value`; a pmf point built from prime exponents never
       reads it, so constructing a law builds no binomial;
-    - from n3 = _WALK_MIN_N3 on, `_walk`, the two binomials of the last
-      numerator it built, so the next numerator up steps from them;
-    - from n3 = _PMF_WALK_MIN_N3 on, `_pmf`, the last pmf value (x, q) it
+    - from n3 = _PMF_STEP_MIN_N3 on, `_pmf`, the last pmf value (x, q) it
       served, already in lowest terms, so the next point up steps from it.
+    Sums over the whole support (the mgf, the binomial-limit distance) step
+    their numerators within one call through `_numerators` and store none.
     """
 
     n1: int
     n2: int
     n3: int
-    # no annotations, so not fields; _normaliser_value, _numerator and
-    # hypergeom_pmf set them per law
+    # no annotations, so not fields; _normaliser_value and hypergeom_pmf
+    # set them per law
     _normaliser = None
-    _walk = None
     _pmf = None
 
     def __post_init__(self) -> None:
@@ -140,26 +136,28 @@ class HypergeomParams:
         return normaliser
 
     def _numerator(self, x: int) -> int:
-        """C(n1,x) C(n3-n1,n2-x), the pmf at x times the normaliser.
+        """C(n1,x) C(n3-n1,n2-x), the pmf at x times the normaliser."""
+        return binomial(self.n1, x) * binomial(self.n3 - self.n1, self.n2 - x)
 
-        Right after x - 1, both binomials step from the stored ones:
-        C(n1,x) = C(n1,x-1) (n1-x+1)/x and C(m,k) = C(m,k+1) (k+1)/(m-k) for
-        m = n3-n1, k = n2-x; both divide exactly, and m - k > 0 because x - 1
-        is in the support. Any other x calls `binomial`. `_walk` is replaced
-        as one tuple, so a concurrent reader sees a consistent (x, c1, c2).
+    def _numerators(self) -> Iterator[int]:
+        """`_numerator(x)` for each x of the support, in order.
+
+        The first is built by `binomial`; each later one steps both
+        binomials, C(n1,x) = C(n1,x-1) (n1-x+1)/x and C(m,k) = C(m,k+1)
+        (k+1)/(m-k) for m = n3-n1, k = n2-x. Both divide exactly, and
+        m - k > 0 because x - 1 is in the support.
         """
         n1, n2, n3 = self.n1, self.n2, self.n3
-        walk = self._walk
-        if walk is not None and walk[0] == x - 1:
+        support = self.support()
+        x0 = support.start
+        c1 = binomial(n1, x0)
+        c2 = binomial(n3 - n1, n2 - x0)
+        yield c1 * c2
+        for x in range(x0 + 1, support.stop):
             k = n2 - x
-            c1 = walk[1] * (n1 - x + 1) // x
-            c2 = walk[2] * (k + 1) // (n3 - n1 - k)
-        else:
-            c1 = binomial(n1, x)
-            c2 = binomial(n3 - n1, n2 - x)
-        if n3 >= _WALK_MIN_N3 and c1 and c2:
-            object.__setattr__(self, "_walk", (x, c1, c2))
-        return c1 * c2
+            c1 = c1 * (n1 - x + 1) // x
+            c2 = c2 * (k + 1) // (n3 - n1 - k)
+            yield c1 * c2
 
 
 @dataclass(frozen=True)
@@ -170,7 +168,8 @@ class BinomialParams:
     p: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", Fraction(self.p))
+        if type(self.p) is not Fraction:
+            object.__setattr__(self, "p", Fraction(self.p))
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
         if not 0 <= self.p <= 1:
@@ -220,7 +219,7 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
 
     Each value takes one of three routes, and every route returns the
     fields of Fraction(C(n1,x) C(n3-n1,n2-x), C(n3,n2)):
-    - Literal quotient. Below n3 = _PMF_WALK_MIN_N3, the two binomials over
+    - Literal quotient. Below n3 = _PMF_STEP_MIN_N3, the two binomials over
       the law's normaliser, reduced by Fraction.
     - Walk. From that crossover on, right after a nonzero value q = N/D at
       x - 1 the next one is q a/b, the 2F1 term ratio at t = 1 with
@@ -240,7 +239,7 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
     (x, q), and the next point up walks from it whatever route built it.
     """
     n1, n2, n3 = params.n1, params.n2, params.n3
-    if n3 < _PMF_WALK_MIN_N3:
+    if n3 < _PMF_STEP_MIN_N3:
         # read directly once built: every point of these laws reads it, and a
         # method call per point made their pmf tables about 4% slower
         normaliser = params._normaliser or params._normaliser_value()
@@ -302,11 +301,11 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
 
     The pmf is exact; only e^(tx) is numeric. Equals G(e^t) by construction.
     Each weight is the pmf's own integer numerator C(n1,x) C(n3-n1,n2-x),
-    walked up the support past the crossover as the pmf walks it, over the
-    law's normaliser C(n3,n2), divided once in decimal. The powers come
-    from one running product: e^(t x0) at the first support point, then
-    times e^t per later point, never past the last one, and e^t is computed
-    only when the support has a second point.
+    stepped up the support by `_numerators`, over the law's normaliser
+    C(n3,n2), divided once in decimal. The powers come from one running
+    product: e^(t x0) at the first support point, then times e^t per later
+    point, never past the last one, and e^t is computed only when the
+    support has a second point.
 
     Precision: every exp and every product is correctly rounded, so each
     step adds at most one unit in the last place to the running power's
@@ -335,12 +334,12 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
         x = x0
         try:
             power = (t_dec * x0).exp()
-            for x in support:
+            for x, numerator in zip(support, params._numerators()):
                 if x > x0:
                     if x == x0 + 1:
                         step = t_dec.exp()
                     power *= step
-                weight = Decimal(params._numerator(x)) / normaliser
+                weight = Decimal(numerator) / normaliser
                 total += weight * power
         except Overflow:
             raise OverflowError(
@@ -490,8 +489,8 @@ def binomial_limit_tv(
         law = HypergeomParams(n1, n2, n3)
         normaliser = law._normaliser_value()
         total = sum(
-            abs(law._numerator(x) * scale - num * normaliser)
-            for x, num in enumerate(binomial_nums)
+            abs(num * scale - binomial_num * normaliser)
+            for num, binomial_num in zip(law._numerators(), binomial_nums)
         )
         results.append((n3, _fraction(total, 2 * normaliser * scale)))
     return results

@@ -33,6 +33,7 @@ __all__ = [
 
 _FAILURE_CAP = 20
 _MAX_TRIALS = 12  # convolution closure's largest trial count
+_CONVOLUTION_PS = (Fraction(1, 2), Fraction(1, 3), Fraction(3, 10))
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def _distribution_cases(max_n3: int) -> Iterator:
     max_trials = min(_MAX_TRIALS, max_n3)
     for trials1 in range(max_trials + 1):
         for trials2 in range(max_trials + 1):
-            for p in (Fraction(1, 2), Fraction(1, 3), Fraction(3, 10)):
+            for p in _CONVOLUTION_PS:
                 table = prob.binomial_convolve(
                     prob.BinomialParams(trials1, p), prob.BinomialParams(trials2, p)
                 )
@@ -212,7 +213,7 @@ SUITES = {
     "distributions": _Suite(
         "distribution_identities", "max_n3", 30, 2, _distribution_cases,
         lambda n: f"n3 <= {n}, all valid (n1, n2); convolution trials <= "
-        f"{min(_MAX_TRIALS, n)}, p in {{1/2, 1/3, 3/10}}",
+        f"{min(_MAX_TRIALS, n)}, p in {{{', '.join(map(str, _CONVOLUTION_PS))}}}",
     ),
 }
 

@@ -13,17 +13,15 @@ LAYERS = (angular, exact, hypseries, prob, verify)
 PUBLIC = {
     "BinomialParams", "CgLabels", "DegenerateConditioningError", "DegenerateDistributionError",
     "DegenerateLabels", "Failure", "HalfInt", "HypergeomParams", "IndivisibleN3Error",
-    "InvalidLabelsError", "MismatchedPError", "NonTerminatingError", "PhaseUndefinedError",
-    "PmfTable", "PoleBeforeTerminationError", "ProductStateVector", "SUITES", "SeriesParams2F1",
-    "SeriesParams3F2", "SignedSqrtRational", "StepsOutOfRangeError", "SuiteReport",
+    "InvalidLabelsError", "MismatchedPError", "PhaseUndefinedError", "PmfTable",
+    "ProductStateVector", "SUITES", "SignedSqrtRational", "StepsOutOfRangeError", "SuiteReport",
     "SupportTooSmallError", "TriangleViolationError", "binomial", "binomial_convolve",
     "binomial_limit_tv", "binomial_pmf", "cg_3f2", "cg_degenerate_squared", "cg_ladder_rows",
     "cg_ladder_stretched", "cg_racah", "cg_to_3jm", "conditional_probability", "delta_abc",
-    "eval_2f1", "eval_3f2_unit", "factorial", "hypergeom_mean", "hypergeom_mgf",
-    "hypergeom_pgf", "hypergeom_pmf", "hypergeom_variance", "pochhammer", "racah_zsum_terms",
-    "rational_to_decimal", "run_backend_agreement", "run_degenerate_identity",
-    "run_distribution_identities", "selection_rule_violation", "selection_rules_satisfied",
-    "sqrt_to_decimal",
+    "factorial", "hypergeom_mean", "hypergeom_mgf", "hypergeom_pgf", "hypergeom_pmf",
+    "hypergeom_variance", "racah_zsum_terms", "rational_to_decimal", "run_backend_agreement",
+    "run_degenerate_identity", "run_distribution_identities", "selection_rule_violation",
+    "selection_rules_satisfied", "sqrt_to_decimal",
 }
 
 

@@ -21,7 +21,6 @@ from cgexact.exact import (
     SignedSqrtRational,
     binomial,
     factorial,
-    pochhammer,
     rational_to_decimal,
     sqrt_to_decimal,
 )
@@ -239,28 +238,6 @@ def test_prime_table_fill_under_thread_switches():
             assert exact._PRIMES == table
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_pochhammer_examples():
-    assert pochhammer(Fraction(0), 0) == 1
-    for p in (1, 2, 5):
-        assert pochhammer(Fraction(0), p) == 0
-    for a in (Fraction(-3, 2), Fraction(7), Fraction(2, 5)):
-        assert pochhammer(a, 0) == 1
-    assert pochhammer(Fraction(2), 3) == 24
-
-
-def test_pochhammer_negative_length_rejected():
-    with pytest.raises(ValueError):
-        pochhammer(Fraction(1), -1)
-
-
-@given(
-    a=st.fractions(min_value=-20, max_value=20, max_denominator=12),
-    k=st.integers(min_value=0, max_value=30),
-)
-def test_pochhammer_gamma_ratio_recurrence(a, k):
-    assert pochhammer(a, k + 1) == pochhammer(a, k) * (a + k)
 
 
 def test_reduced_is_the_fraction_of_coprime_ints():

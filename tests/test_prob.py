@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -100,6 +101,15 @@ class TestParams:
         with pytest.raises(ValueError):
             BinomialParams(2, Fraction(3, 2))
         assert BinomialParams(2, "1/2").p == HALF
+        # an exact Fraction is kept as it is; anything else is converted
+        assert BinomialParams(2, THIRD).p is THIRD
+
+        class Prob(Fraction):
+            pass
+
+        for p in ("1/3", Prob(1, 3), True):
+            got = BinomialParams(2, p).p
+            assert type(got) is Fraction and got == Fraction(p)
 
     def test_support(self):
         assert list(HypergeomParams(5, 2, 10).support()) == [0, 1, 2]
@@ -266,38 +276,35 @@ def _literal_numerator(params: HypergeomParams, x: int) -> int:
 
 
 class TestNumeratorWalk:
-    """A law walks its numerators C(n1,x) C(n3-n1,n2-x) from n3 = _WALK_MIN_N3
-    on; every value must still be the product of two math.comb calls."""
+    """`_numerators()` steps a law's numerators C(n1,x) C(n3-n1,n2-x) up its
+    support within one call, and `_numerator(x)` builds one afresh; every
+    value must still be the product of two math.comb calls, and the law
+    keeps none of them."""
 
-    def test_every_small_law_walks(self, monkeypatch):
-        # with the crossover at 0 every law walks, edge laws included: each
-        # law upward with a point outside the support at both ends, and every
-        # law up to n3 = 20 in every order as well
-        monkeypatch.setattr(prob, "_WALK_MIN_N3", 0)
-        rng = random.Random(12)
+    def test_every_small_law_walks(self):
+        # every law up to n3 = 40, edge laws included, and `_numerator` at a
+        # point outside the support at both ends as well
         for n3 in range(41):
             for n1 in range(n3 + 1):
                 for n2 in range(n3 + 1):
                     params = HypergeomParams(n1, n2, n3)
                     support = params.support()
-                    xs = range(support.start - 1, support.stop + 2)
-                    want = {x: _literal_numerator(params, x) for x in (-1, *xs)}
-                    if n3 <= 20:
-                        xs = _walk_order(support, rng)
-                    for x in xs:
-                        assert params._numerator(x) == want[x], (params, x)
+                    want = [_literal_numerator(params, x) for x in support]
+                    assert list(params._numerators()) == want, params
+                    for x in (-1, support.start - 1, *support, support.stop, support.stop + 1):
+                        assert params._numerator(x) == _literal_numerator(params, x), (params, x)
 
     def test_large_laws_at_the_measured_crossover(self):
         rng = random.Random(13)
         law = HypergeomParams(20000, 300, 40000)
-        for x in _walk_order(law.support(), rng):
-            assert law._numerator(x) == _literal_numerator(law, x), x
+        assert list(law._numerators()) == [_literal_numerator(law, x) for x in range(301)]
         for x in range(-1, 302):
             assert hypergeom_pmf(law, x) == _literal_pmf(20000, 300, 40000, x), x
-        # support [10000, 20000]: a step at each end, as math.comb is slow here
+        # support [10000, 20000]: the walk starts at 10000, not at 0; its
+        # first steps only, as each one costs about 0.2 ms here
         law = HypergeomParams(30000, 20000, 40000)
-        for x in (9999, 10000, 10001, 20000, 20001):
-            assert law._numerator(x) == _literal_numerator(law, x), x
+        first = list(itertools.islice(law._numerators(), 3))
+        assert first == [_literal_numerator(law, x) for x in (10000, 10001, 10002)]
         for n1, n2 in ((0, 0), (0, 300), (1000, 300), (300, 0), (300, 1000), (1000, 1000)):
             law = HypergeomParams(n1, n2, 1000)
             for x in _walk_order(law.support(), rng):
@@ -305,22 +312,25 @@ class TestNumeratorWalk:
 
     def test_two_laws_walked_interleaved(self):
         a, b = HypergeomParams(20000, 300, 40000), HypergeomParams(150, 100, 400)
-        for x in range(-1, 302):
-            assert a._numerator(x) == _literal_numerator(a, x), x
-            assert b._numerator(x) == _literal_numerator(b, x), x
+        walk_a, walk_b = a._numerators(), b._numerators()
+        for x in range(101):
+            assert next(walk_a) == _literal_numerator(a, x), x
+            assert next(walk_b) == _literal_numerator(b, x), x
+        assert next(walk_b, None) is None
+        assert list(walk_a) == [_literal_numerator(a, x) for x in range(101, 301)]
 
     def test_threads_walking_one_shared_law(self):
-        # numerators and pmf values both walk, on one law shared by threads
+        # numerators walk per call and pmf values walk on the law, on one
+        # law shared by threads
         law = HypergeomParams(2000, 300, 4000)
-        expected = [_literal_numerator(law, x) for x in range(-1, 302)]
+        expected = [_literal_numerator(law, x) for x in law.support()]
         expected_pmf = [_fields(_literal_pmf(2000, 300, 4000, x)) for x in range(-1, 302)]
 
         def walk(start: int) -> bool:
             return all(
-                law._numerator(x) == expected[x + 1]
-                and _fields(hypergeom_pmf(law, x)) == expected_pmf[x + 1]
+                list(law._numerators()) == expected
+                and all(_fields(hypergeom_pmf(law, x)) == expected_pmf[x + 1] for x in range(start, 302))
                 for _ in range(5)
-                for x in range(start, 302)
             )
 
         interval = sys.getswitchinterval()
@@ -332,21 +342,37 @@ class TestNumeratorWalk:
             sys.setswitchinterval(interval)
 
     def test_walk_state_is_not_a_field(self):
-        # the pmf walks its own state and builds one numerator, at its first
-        # point; the numerator walk advances only when called itself
+        # the pmf walks its own state
         law = HypergeomParams(200, 50, 400)
         for x in range(40):
             hypergeom_pmf(law, x)
-        assert law._pmf[0] == 39 and law._walk[0] == 0
-        for x in range(40):
-            law._numerator(x)
-        assert law._walk[0] == 39 and law._pmf[0] == 39
+        assert law._pmf[0] == 39
         fresh = HypergeomParams(200, 50, 400)
         assert law == fresh and hash(law) == hash(fresh) and repr(law) == repr(fresh)
         replaced = dataclasses.replace(law)
-        assert replaced == law and replaced._walk is None and replaced._pmf is None
+        assert replaced == law and replaced._pmf is None
         assert dataclasses.astuple(law) == (200, 50, 400)
         assert [f.name for f in dataclasses.fields(law)] == ["n1", "n2", "n3"]
+
+    def test_sums_over_the_support_store_no_numerators(self, monkeypatch):
+        # the mgf, the pgf and the binomial-limit distance leave a law
+        # holding its fields, its normaliser and nothing else
+        laws = []
+
+        class Recorded(HypergeomParams):
+            def __post_init__(self):
+                super().__post_init__()
+                laws.append(self)
+
+        monkeypatch.setattr(prob, "HypergeomParams", Recorded)
+        law = Recorded(150, 100, 400)
+        hypergeom_mgf(law, "0.1", 20)
+        hypergeom_pgf(law, THIRD)
+        binomial_limit_tv(HALF, 20, [400, 1600])
+        assert len(laws) == 3
+        for law in laws:
+            want = {**dataclasses.asdict(law), "_normaliser": math.comb(law.n3, law.n2)}
+            assert vars(law) == want, law
 
 
 def _fields(q: Fraction) -> tuple[int, int]:
@@ -375,7 +401,7 @@ def _mostly_upward(support: range, rng: random.Random) -> list[int]:
 
 
 class TestPmfWalk:
-    """From n3 = _PMF_WALK_MIN_N3 on, the pmf steps its last reduced value by the
+    """From n3 = _PMF_STEP_MIN_N3 on, the pmf steps its last reduced value by the
     term ratio; every value must hold the fields of the literal quotient."""
 
     def test_every_small_law_walks(self, monkeypatch):
@@ -383,8 +409,7 @@ class TestPmfWalk:
         # its support to past its top, mostly upward with repeats, steps down
         # and jumps. Swapping n1 and n2 leaves the support, the first value
         # and every ratio a/b unchanged, so n1 <= n2 takes every step there is
-        monkeypatch.setattr(prob, "_WALK_MIN_N3", 0)
-        monkeypatch.setattr(prob, "_PMF_WALK_MIN_N3", 0)
+        monkeypatch.setattr(prob, "_PMF_STEP_MIN_N3", 0)
         rng = random.Random(15)
         for n3 in range(41):
             for n2 in range(n3 + 1):
@@ -417,8 +442,8 @@ class TestPmfWalk:
             _assert_reduced_as(hypergeom_pmf(law, x), _literal_pmf(3000, 2000, 4000, x), x)
 
     def test_interleaved_with_the_other_walkers(self):
-        # the pmf, the mgf, the pgf and the numerator walk share one law; each
-        # leaves the others' values as a fresh law gives them
+        # the pmf walk shares one law with the mgf, the pgf and `_numerator`;
+        # each leaves the others' values as a fresh law gives them
         rng = random.Random(17)
         law = HypergeomParams(150, 100, 400)
         fresh_mgf = hypergeom_mgf(HypergeomParams(150, 100, 400), "0.1", 20)
