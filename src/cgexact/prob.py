@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from decimal import Context, Decimal, InvalidOperation, Overflow, localcontext
+from decimal import MIN_EMIN, Context, Decimal, InvalidOperation, Overflow, localcontext
 from fractions import Fraction
 
 from .angular import DegenerateLabels
@@ -106,8 +106,9 @@ class HypergeomParams:
       reads it, so constructing a law builds no binomial;
     - from n3 = _PMF_STEP_MIN_N3 on, `_pmf`, the last pmf value (x, q) it
       served, already in lowest terms, so the next point up steps from it.
-    Sums over the whole support (the mgf, the binomial-limit distance) step
-    their numerators within one call through `_numerators` and store none.
+    Sums over the whole support step by the 2F1 term ratio within one call
+    and store nothing: the binomial-limit distance its numerators, through
+    `_numerators`, and the mgf its decimal weights.
     """
 
     n1: int
@@ -140,24 +141,18 @@ class HypergeomParams:
         return binomial(self.n1, x) * binomial(self.n3 - self.n1, self.n2 - x)
 
     def _numerators(self) -> Iterator[int]:
-        """`_numerator(x)` for each x of the support, in order.
-
-        The first is built by `binomial`; each later one steps both
-        binomials, C(n1,x) = C(n1,x-1) (n1-x+1)/x and C(m,k) = C(m,k+1)
-        (k+1)/(m-k) for m = n3-n1, k = n2-x. Both divide exactly, and
-        m - k > 0 because x - 1 is in the support.
-        """
+        """`_numerator(x)` for each x of the support, in order: the first
+        built afresh, each later one the last times the 2F1 term ratio at
+        t = 1, a/b with a = (n1-x+1)(n2-x+1) and b = x (n3-n1-n2+x) > 0 as
+        x - 1 is in the support. The division is exact, since the quotient
+        is the next numerator."""
         n1, n2, n3 = self.n1, self.n2, self.n3
         support = self.support()
-        x0 = support.start
-        c1 = binomial(n1, x0)
-        c2 = binomial(n3 - n1, n2 - x0)
-        yield c1 * c2
-        for x in range(x0 + 1, support.stop):
-            k = n2 - x
-            c1 = c1 * (n1 - x + 1) // x
-            c2 = c2 * (k + 1) // (n3 - n1 - k)
-            yield c1 * c2
+        num = self._numerator(support.start)
+        yield num
+        for x in range(support.start + 1, support.stop):
+            num = num * ((n1 - x + 1) * (n2 - x + 1)) // (x * (n3 - n1 - n2 + x))
+            yield num
 
 
 @dataclass(frozen=True)
@@ -299,19 +294,21 @@ def hypergeom_pgf(params: HypergeomParams, t: Fraction | int) -> Fraction:
 def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) -> Decimal:
     """M(t) = sum_x pmf(x) e^(t x) to `digits` significant digits.
 
-    The pmf is exact; only e^(tx) is numeric. Equals G(e^t) by construction.
-    Each weight is the pmf's own integer numerator C(n1,x) C(n3-n1,n2-x),
-    stepped up the support by `_numerators`, over the law's normaliser
-    C(n3,n2), divided once in decimal. The powers come from one running
-    product: e^(t x0) at the first support point, then times e^t per later
-    point, never past the last one, and e^t is computed only when the
-    support has a second point.
+    The pmf is exact; weights and powers are decimal. Equals G(e^t) by
+    construction. The first weight is the numerator C(n1,x0) C(n3-n1,n2-x0)
+    over the normaliser C(n3,n2), divided once; each later one is the last
+    times the 2F1 term ratio at t = 1, a/b with a = (n1-x+1)(n2-x+1) and
+    b = x (n3-n1-n2+x), as one product and one quotient. The powers come
+    from one running product: e^(t x0) at the first support point, then
+    times e^t per later point, never past the last one, and e^t is computed
+    only when the support has a second point.
 
-    Precision: every exp and every product is correctly rounded, so each
-    step adds at most one unit in the last place to the running power's
-    relative error. With n support points the powers carry at most n units
-    of error; working at digits + 10 + len(str(n)) digits keeps that below
-    one unit at digits + 10, the budget of a fresh exp per point.
+    Precision: each exp, product and quotient is correctly rounded. With n
+    support points a term carries at most 3n units in the last place (2n - 1
+    in its weight, n in its power, one in their product); working at
+    digits + 11 + len(str(n)) digits keeps that below one unit at digits + 10,
+    the budget of a fresh exp per point. The weights have no exponent floor,
+    so one below the smallest normal decimal keeps its digits.
 
     Raises ValueError when t does not parse as a decimal or is not finite,
     OverflowError when some e^(tx) exceeds the largest decimal, and
@@ -326,20 +323,24 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
         raise ValueError(f"t must be a finite decimal number, got {t!r}") from None
     if not t_dec.is_finite():
         raise ValueError(f"t must be a finite decimal number, got {t!r}")
+    n1, n2, n3 = params.n1, params.n2, params.n3
     support = params.support()
     x0 = support.start
-    with localcontext(Context(prec=digits + 10 + len(str(len(support))))) as ctx:
-        normaliser = Decimal(params._normaliser_value())
+    prec = digits + 11 + len(str(len(support)))
+    weights = Context(prec=prec, Emin=MIN_EMIN)
+    with localcontext(Context(prec=prec)) as ctx:
+        weight = weights.divide(Decimal(params._numerator(x0)), params._normaliser_value())
         total = Decimal(0)
         x = x0
         try:
             power = (t_dec * x0).exp()
-            for x, numerator in zip(support, params._numerators()):
+            for x in support:
                 if x > x0:
                     if x == x0 + 1:
                         step = t_dec.exp()
                     power *= step
-                weight = Decimal(numerator) / normaliser
+                    weight = weights.multiply(weight, (n1 - x + 1) * (n2 - x + 1))
+                    weight = weights.divide(weight, x * (n3 - n1 - n2 + x))
                 total += weight * power
         except Overflow:
             raise OverflowError(
@@ -420,11 +421,7 @@ def binomial_convolve(a: BinomialParams, b: BinomialParams) -> PmfTable:
         [_pmf_numerator(b.trials, p, j) for j in range(b.trials + 1)],
         width,
     )
-    entries = []
-    for k, total in enumerate(sums):
-        g = math.gcd(total, denominator)
-        entries.append((k, _reduced(total // g, denominator // g)))
-    return PmfTable(tuple(entries))
+    return PmfTable(tuple((k, _fraction(total, denominator)) for k, total in enumerate(sums)))
 
 
 def _slot_sums(num_a: list[int], num_b: list[int], width: int) -> list[int]:

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import decimal
 import math
 import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, Overflow, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -60,6 +60,46 @@ def _per_point_mgf(params: HypergeomParams, t: str, digits: int) -> str:
             q = _literal_pmf(params.n1, params.n2, params.n3, x)
             total += Decimal(q.numerator) / Decimal(q.denominator) * (t_dec * x).exp()
     return str(Context(prec=digits).plus(total))
+
+
+def _reference_mgf(params: HypergeomParams, t: str, digits: int) -> str | tuple[type, str]:
+    """The mgf with a per-point weight: each exact numerator C(n1,x)
+    C(n3-n1,n2-x) over the normaliser, divided in decimal, with the running
+    power, at digits + 10 + len(str(n)) digits for n support points, rounded
+    to `digits`; its string, or the type and message of what it raised."""
+    t_dec = Decimal(t)
+    support = params.support()
+    x0 = support.start
+    with localcontext(Context(prec=digits + 10 + len(str(len(support))))) as ctx:
+        normaliser = Decimal(math.comb(params.n3, params.n2))
+        total = Decimal(0)
+        x = x0
+        try:
+            power = (t_dec * x0).exp()
+            for x in support:
+                if x > x0:
+                    if x == x0 + 1:
+                        step = t_dec.exp()
+                    power *= step
+                total += Decimal(_literal_numerator(params, x)) / normaliser * power
+        except Overflow:
+            return OverflowError, (
+                f"mgf overflows at {digits} digits: e^(t*x) at t = {t_dec}, x = {x} "
+                f"exceeds the largest decimal (exponent {ctx.Emax})"
+            )
+        if not total.is_normal():
+            return ArithmeticError, (
+                f"mgf underflows at {digits} digits: the sum at t = {t_dec} from x0 = {x0} "
+                f"is below the smallest normal decimal (exponent {ctx.Emin})"
+            )
+    return str(Context(prec=digits).plus(total))
+
+
+def _mgf_outcome(params: HypergeomParams, t: str, digits: int) -> str | tuple[type, str]:
+    try:
+        return str(hypergeom_mgf(params, t, digits))
+    except (OverflowError, ArithmeticError) as error:
+        return type(error), str(error)
 
 
 def _mpmath_mgf(params: HypergeomParams, t: str, digits: int) -> mpmath.mpf:
@@ -300,11 +340,15 @@ class TestNumeratorWalk:
         assert list(law._numerators()) == [_literal_numerator(law, x) for x in range(301)]
         for x in range(-1, 302):
             assert hypergeom_pmf(law, x) == _literal_pmf(20000, 300, 40000, x), x
-        # support [10000, 20000]: the walk starts at 10000, not at 0; its
-        # first steps only, as each one costs about 0.2 ms here
+        # support [10000, 20000]: the walk starts at 10000, not at 0; every
+        # 1000th point, the last one included, is the literal product
         law = HypergeomParams(30000, 20000, 40000)
-        first = list(itertools.islice(law._numerators(), 3))
-        assert first == [_literal_numerator(law, x) for x in (10000, 10001, 10002)]
+        checked = []
+        for x, numerator in zip(law.support(), law._numerators()):
+            if x % 1000 == 0:
+                assert numerator == _literal_numerator(law, x), x
+                checked.append(x)
+        assert checked == list(range(10000, 20001, 1000))
         for n1, n2 in ((0, 0), (0, 300), (1000, 300), (300, 0), (300, 1000), (1000, 1000)):
             law = HypergeomParams(n1, n2, 1000)
             for x in _walk_order(law.support(), rng):
@@ -689,6 +733,57 @@ class TestHypergeomMgf:
             params = HypergeomParams(n1, n2, n3)
             t, digits = rng.choice(_MGF_TS), rng.randint(1, 50)
             assert str(hypergeom_mgf(params, t, digits)) == _per_point_mgf(params, t, digits)
+
+    def test_equals_per_point_weights_seeded(self):
+        # weights stepped by the term ratio round to the strings, and raise
+        # the errors, of weights divided afresh per point
+        rng = random.Random(20261021)
+        ts = (*_MGF_TS, "1e6", "-1e6", "-4.6e6", "-2e5", "1e400000")
+        # four one-point laws, then laws whose support starts at 0 or above
+        laws = [HypergeomParams(n1, n2, 10) for n1, n2 in ((0, 7), (7, 0), (10, 4), (6, 10))]
+        while len(laws) < 199:
+            n3 = rng.randint(1, 400)
+            laws.append(HypergeomParams(rng.randint(0, n3), rng.randint(0, n3), n3))
+        cases = [(params, rng.choice(ts), rng.randint(1, 60)) for params in laws]
+        cases.append((HypergeomParams(3000, 2000, 4000), "-0.5", 60))
+        outcomes = []
+        for params, t, digits in cases:
+            outcome = _mgf_outcome(params, t, digits)
+            assert outcome == _reference_mgf(params, t, digits), (params, t, digits)
+            outcomes.append(outcome)
+        starts = [params.support().start for params in laws]
+        assert starts.count(0) >= 50 and len(starts) - starts.count(0) >= 50
+        errors = [outcome[0] for outcome in outcomes if type(outcome) is tuple]
+        assert errors.count(OverflowError) >= 5 and errors.count(ArithmeticError) >= 5
+
+    def test_builds_one_exact_numerator(self, monkeypatch):
+        # the weights step from the first one; no numerator past x0 is built
+        built = []
+
+        def numerator(self, x):
+            built.append(x)
+            return _literal_numerator(self, x)
+
+        def numerators(self):
+            raise AssertionError("the mgf does not iterate the numerators")
+
+        monkeypatch.setattr(HypergeomParams, "_numerator", numerator)
+        monkeypatch.setattr(HypergeomParams, "_numerators", numerators)
+        params = HypergeomParams(300, 200, 400)
+        assert str(hypergeom_mgf(params, "0.25", 30)) == _per_point_mgf(params, "0.25", 30)
+        assert built == [100]
+
+    def test_weights_below_the_smallest_normal_decimal(self, monkeypatch):
+        # pmf(0) = pmf(500) = 1/C(1000, 500), about 4e-300. With the
+        # smallest normal decimal at 1e-250 (at the default 1e-999999 this
+        # takes n3 past 3.3 million), the weights at both ends keep their
+        # digits: the first for every weight stepped from it, the last for
+        # its term, which dominates the sum at t = 10
+        monkeypatch.setattr(decimal.DefaultContext, "Emin", -250)
+        params = HypergeomParams(500, 500, 1000)
+        for t in ("0.1", "10"):
+            value = hypergeom_mgf(params, t, 15)
+            assert _within_one_unit(value, _mpmath_mgf(params, t, 15), 15), t
 
     @pytest.mark.parametrize("t", ["-4.6e6", "-1e6", "1e-400000", "-1e-400000", "1e-999999"])
     def test_equals_per_point_strings_at_extreme_t(self, t):
