@@ -12,7 +12,16 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from decimal import MIN_EMIN, Context, Decimal, InvalidOperation, Overflow, localcontext
+from decimal import (
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+    localcontext,
+)
 from fractions import Fraction
 
 from .angular import DegenerateLabels
@@ -308,7 +317,10 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
     in its weight, n in its power, one in their product); working at
     digits + 11 + len(str(n)) digits keeps that below one unit at digits + 10,
     the budget of a fresh exp per point. The weights have no exponent floor,
-    so one below the smallest normal decimal keeps its digits.
+    so one below the smallest normal decimal keeps its digits. Rounding is
+    half-even and only invalid operations, division by zero and overflow
+    trap, whatever decimal.DefaultContext says; the exponent limits of the
+    sum and its powers are DefaultContext's.
 
     Raises ValueError when t does not parse as a decimal or is not finite,
     OverflowError when some e^(tx) exceeds the largest decimal, and
@@ -327,8 +339,11 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
     support = params.support()
     x0 = support.start
     prec = digits + 11 + len(str(len(support)))
-    weights = Context(prec=prec, Emin=MIN_EMIN)
-    with localcontext(Context(prec=prec)) as ctx:
+    fixed = dict(
+        rounding=ROUND_HALF_EVEN, traps=[InvalidOperation, DivisionByZero, Overflow], clamp=0
+    )
+    weights = Context(prec=prec, Emin=MIN_EMIN, **fixed)
+    with localcontext(Context(prec=prec, **fixed)) as ctx:
         weight = weights.divide(Decimal(params._numerator(x0)), params._normaliser_value())
         total = Decimal(0)
         x = x0
@@ -354,7 +369,7 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
                 f"mgf underflows at {digits} digits: the sum at t = {t_dec} from x0 = {x0} "
                 f"is below the smallest normal decimal (exponent {ctx.Emin})"
             )
-    return Context(prec=digits).plus(total)
+    return Context(prec=digits, **fixed).plus(total)
 
 
 def hypergeom_mean(params: HypergeomParams) -> Fraction:
@@ -467,7 +482,7 @@ def binomial_limit_tv(
     |C(n1,x) C(n3-n1,n2-x) v^n2 - _pmf_numerator(n2,p,x) C(n3,n2)|, over the
     common denominator 2 C(n3,n2) v^n2.
     """
-    p = Fraction(p)
+    p = _rational(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     scale = p.denominator**n2
@@ -478,7 +493,7 @@ def binomial_limit_tv(
             raise ValueError(f"n3 must be positive, got {n3}")
         if n3 % p.denominator:
             raise IndivisibleN3Error(f"n3 = {n3} is not a multiple of {p.denominator}")
-        n1 = int(p * n3)
+        n1 = n3 // p.denominator * p.numerator
         if n2 > min(n1, n3 - n1):
             raise SupportTooSmallError(
                 f"n2 = {n2} exceeds min(n1, n3 - n1) = {min(n1, n3 - n1)} at n3 = {n3}"

@@ -169,6 +169,10 @@ class TestDegenerateLabels:
             DegenerateLabels(l1=2, k1=-1, l2=2, k2=1)
         with pytest.raises(InvalidLabelsError):
             DegenerateLabels(l1=-2, k1=0, l2=2, k2=1)
+        with pytest.raises(InvalidLabelsError, match=r"k2 = 3 out of range \[0, 2\]"):
+            DegenerateLabels(l1=2, k1=1, l2=2, k2=3)
+        with pytest.raises(InvalidLabelsError, match=r"k2 = -1 out of range \[0, 2\]"):
+            DegenerateLabels(l1=2, k1=1, l2=2, k2=-1)
 
 
 def test_selection_rules_examples():

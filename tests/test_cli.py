@@ -431,6 +431,18 @@ class TestNegativeValues:
         assert record["detail"] == "n3 must be positive, got -4"
         assert captured.err == "cgexact: n3 must be positive, got -4\n"
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_limit_n3_list_that_does_not_parse(self, capsys, fmt):
+        code = main(["limit", "--p", "1/2", "--n2", "1", "--n3", "1,x", "--format", fmt])
+        captured = capsys.readouterr()
+        message = "cannot parse n3 list '1,x'"
+        assert code == 2
+        assert captured.err == f"cgexact: {message}\n"
+        if fmt == "json":
+            assert json.loads(captured.out)["detail"] == message
+        else:
+            assert captured.out == f"error: {message}\n"
+
     @pytest.mark.parametrize("p", ["3/2", "-1/2"])
     def test_limit_p_outside_unit_interval(self, capsys, p):
         for fmt in ("json", "text"):

@@ -329,6 +329,11 @@ class TestSignedSqrtRational:
         assert a != SignedSqrtRational(-1, Fraction(4, 9))
         assert a != SignedSqrtRational(1, Fraction(2, 3))
 
+    def test_product_with_a_plain_number_is_a_type_error(self):
+        # __mul__ returns NotImplemented, and int has no product with it either
+        with pytest.raises(TypeError):
+            SignedSqrtRational(1, Fraction(1, 2)) * 2
+
     def test_from_scaled_sqrt(self):
         # -3 * sqrt(1/2) = -sqrt(9/2)
         v = SignedSqrtRational.from_scaled_sqrt(Fraction(-3), Fraction(1, 2))
@@ -465,6 +470,11 @@ def test_rational_to_decimal_basic():
     assert rational_to_decimal(Fraction(2), 3) == "2.00"
     assert rational_to_decimal(Fraction(-1, 18), 4) == "-0.05556"
     assert rational_to_decimal(Fraction(0), 7) == "0"
+
+
+def test_rational_to_decimal_rejects_nonpositive_digits():
+    with pytest.raises(ValueError, match="digits must be positive, got 0"):
+        rational_to_decimal(Fraction(1, 3), 0)
 
 
 def test_rational_to_decimal_same_digits_for_int_and_fraction_input():

@@ -808,6 +808,29 @@ class TestHypergeomMgf:
             hypergeom_mgf(HypergeomParams(3, 2, 10), t, 15)
         assert repr(t) in str(info.value)
 
+    @pytest.mark.parametrize("alter", ["round_floor", "trap_inexact"])
+    def test_ignores_the_default_context_rounding_and_traps(self, monkeypatch, alter):
+        # the law (5, 2, 10) at t = 0.5 rounds down at the last digit under
+        # ROUND_FLOOR, and every mgf is inexact; the other laws are shaped
+        # like the benchmark's mgf requests, at its 30 digits
+        cases = [(HypergeomParams(5, 2, 10), "0.5", 15)] + [
+            (HypergeomParams(n1, n2, n3), t, 30)
+            for (n1, n2, n3), t in (
+                ((12, 7, 30), "-0.5"),
+                ((400, 37, 900), "0.1"),
+                ((1500, 80, 4000), "0.693147"),
+                ((21000, 100, 40000), "1.25"),
+                ((9000, 64, 12000), "-2"),
+            )
+        ]
+        expected = [str(hypergeom_mgf(*case)) for case in cases]
+        assert expected[0] == "1.74224111226875"
+        if alter == "round_floor":
+            monkeypatch.setattr(decimal.DefaultContext, "rounding", decimal.ROUND_FLOOR)
+        else:
+            monkeypatch.setitem(decimal.DefaultContext.traps, decimal.Inexact, True)
+        assert [str(hypergeom_mgf(*case)) for case in cases] == expected
+
 
 class TestMoments:
     def test_mean_examples(self):
@@ -817,6 +840,10 @@ class TestMoments:
         assert hypergeom_mean(params) == HALF
         moment = sum((x * hypergeom_pmf(params, x) for x in params.support()), Fraction(0))
         assert moment == HALF
+
+    def test_mean_needs_a_positive_n3(self):
+        with pytest.raises(ValueError, match=r"mean needs n3 >= 1"):
+            hypergeom_mean(HypergeomParams(0, 0, 0))
 
     def test_variance_examples(self):
         assert hypergeom_variance(HypergeomParams(5, 4, 10)) == Fraction(2, 3)
