@@ -64,9 +64,10 @@ class PhaseUndefinedError(ValueError):
     """a - b + gamma is not an integer, so (-1)^(a-b+gamma) has no value."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class HalfInt:
-    """Half-integer stored as twice its value, so all arithmetic stays integral."""
+    """Half-integer stored as twice its value; callers compute on `twice`, so
+    all arithmetic stays integral."""
 
     twice: int
 
@@ -81,18 +82,6 @@ class HalfInt:
     @property
     def is_integer(self) -> bool:
         return self.twice % 2 == 0
-
-    def __add__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice + other.twice)
-
-    def __sub__(self, other: "HalfInt") -> "HalfInt":
-        return HalfInt(self.twice - other.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
 
     def __str__(self) -> str:
         return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"

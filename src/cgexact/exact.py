@@ -4,8 +4,9 @@ Cached factorials, binomials with the out-of-support-zero convention, the
 signed-square-root value type, and decimal rendering that never touches
 machine floating point. Binomials come from math.comb below a measured
 crossover and from Legendre prime exponents above it, where math.comb's
-big-integer divisions dominate; the same exponents give a quotient of
-three binomials directly in lowest terms.
+big-integer divisions dominate; past a crossover of its own, measured
+here too, the same exponents give a quotient of three binomials directly
+in lowest terms.
 """
 
 from __future__ import annotations
@@ -68,6 +69,25 @@ _PRIMES_MAX_CACHED = 1 << 16
 _PRIME_MIN_K = 320
 _PRIME_MIN_K_SIEVED = 2048
 _PRIME_MIN_ROW = 2 * _PRIME_MIN_K
+
+# Measured crossover of a three-binomial quotient from prime exponents
+# against the literal quotient, on rows up to 2**16: from min(k, l - k) =
+# _QUOTIENT_PRIME_MIN_K + l // 32 on, for the bottom binomial C(l, k). The
+# quotient does the prime work of three binomials, so it starts later than
+# `binomial`'s own rule. Measured as hypergeometric pmf points (l = n3,
+# k = n2), fresh law per point, the two alternating, best of 11-21 per law
+# (2 cores, Python 3.11). On the shapes of single-point requests (n1 =
+# 0.4-0.6 n3, n2 = 0.2-0.3 n3, x near the mode, 20 laws per n3, two sweeps)
+# prime/literal read 1.54 at n3 = 1000, 1.13-1.15 at 1200-1400, 1.00-1.05 at
+# 1800, 0.91-0.96 at 2000, 0.89-0.91 at 2200 (prime faster on 17 and 18 of
+# 20), 0.85-0.86 at 3200 and 0.74 at 6000. Across n2 (n1 = 0.4-0.6 n3, 8 laws
+# each) it broke even near n2 = 490 at n3 = 2000, 550 at 3000, 700 at 5000
+# and 850 at 10000, and between n2 = 788 (1.43) and 1576 (0.86-0.92) at
+# 30000; at `binomial`'s own rule it read 1.18-1.59 on every n3 from 2200 to
+# 60000. Rows above 2**16 sieve their primes per call in both routes, and
+# there `binomial`'s rule holds: 0.79 at its threshold at n3 = 70000, 0.73
+# at 120000 and 0.65 at 200000.
+_QUOTIENT_PRIME_MIN_K = 512
 
 
 def binomial(n: int, k: int) -> int:
@@ -160,10 +180,13 @@ def _carry_ranges(n: int, k: int, primes: list[int], start: int, stop: int) -> t
     )
 
 
-def _binomial_quotient_from_primes(l1: int, k1: int, l2: int, k2: int, primes: list[int]) -> Fraction:
+def _binomial_quotient_from_primes(l1: int, k1: int, l2: int, k2: int) -> Fraction | None:
     """C(l1, k1) C(l2, k2) / C(l1 + l2, k1 + k2) in lowest terms, for
-    0 <= k1 <= l1 and 0 <= k2 <= l2; `primes` holds every prime <= l1 + l2
-    in increasing order.
+    0 <= k1 <= l1 and 0 <= k2 <= l2, when it is faster from prime exponents;
+    None when the literal quotient is faster. For j = min(k, l - k) of the
+    bottom binomial C(l, k), that is from j = _QUOTIENT_PRIME_MIN_K + l // 32
+    on rows up to 2**16, and where C(l, k) itself takes its prime path
+    (`_prime_path`) on longer rows.
 
     Each prime's exponent is summed over the three binomials as in
     `_binomial_from_primes`: the Legendre sums up to sqrt(l1 + l2), which
@@ -176,6 +199,12 @@ def _binomial_quotient_from_primes(l1: int, k1: int, l2: int, k2: int, primes: l
     """
     l, k = l1 + l2, k1 + k2
     m1, m2, m = l1 - k1, l2 - k2, l - k
+    j = min(k, m)
+    if l <= _PRIMES_MAX_CACHED and j < _QUOTIENT_PRIME_MIN_K + (l >> 5):
+        return None
+    primes = _prime_path(l, j)
+    if primes is None:
+        return None
     small = bisect_right(primes, math.isqrt(l))
     num, den = [], []
     for p in primes[:small]:

@@ -26,10 +26,8 @@ from fractions import Fraction
 
 from .angular import DegenerateLabels
 from .exact import (
-    _PRIMES_MAX_CACHED,
     _binomial_quotient_from_primes,
     _fraction,
-    _prime_path,
     _rational,
     _reduced,
     binomial,
@@ -84,23 +82,6 @@ class SupportTooSmallError(ValueError):
 # 72 and 80, 0.93-0.94 at 88, 0.92 at 96 (walk faster on 30 of 40 laws),
 # 0.88-0.89 at 112, 0.84 at 128 and 0.73 at 160.
 _PMF_STEP_MIN_N3 = 96
-
-# Measured crossover of one pmf point from prime exponents against the literal
-# quotient, on rows up to 2**16: from min(n2, n3 - n2) = _PMF_PRIME_MIN_K +
-# n3 // 32 on. The quotient does the prime work of three binomials, so it
-# starts later than `binomial`'s own rule. Fresh law per point, the two
-# alternating, best of 11-21 per law (2 cores, Python 3.11). On the shapes of
-# single-point requests (n1 = 0.4-0.6 n3, n2 = 0.2-0.3 n3, x near the mode,
-# 20 laws per n3, two sweeps) prime/literal read 1.54 at n3 = 1000, 1.13-1.15
-# at 1200-1400, 1.00-1.05 at 1800, 0.91-0.96 at 2000, 0.89-0.91 at 2200
-# (prime faster on 17 and 18 of 20), 0.85-0.86 at 3200 and 0.74 at 6000.
-# Across n2 (n1 = 0.4-0.6 n3, 8 laws each) it broke even near n2 = 490 at
-# n3 = 2000, 550 at 3000, 700 at 5000 and 850 at 10000, and between n2 = 788
-# (1.43) and 1576 (0.86-0.92) at 30000; at `binomial`'s own rule it read
-# 1.18-1.59 on every n3 from 2200 to 60000. Rows above 2**16 sieve their
-# primes per call in both routes, and there `binomial`'s rule holds: 0.79 at
-# its threshold at n3 = 70000, 0.73 at 120000 and 0.65 at 200000.
-_PMF_PRIME_MIN_K = 512
 
 
 @dataclass(frozen=True)
@@ -223,59 +204,50 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
 
     Each value takes one of three routes, and every route returns the
     fields of Fraction(C(n1,x) C(n3-n1,n2-x), C(n3,n2)):
-    - Literal quotient. Below n3 = _PMF_STEP_MIN_N3, the two binomials over
-      the law's normaliser, reduced by Fraction.
-    - Walk. From that crossover on, right after a nonzero value q = N/D at
-      x - 1 the next one is q a/b, the 2F1 term ratio at t = 1 with
-      a = (n1-x+1)(n2-x+1) and b = x (n3-n1-n2+x) > 0. With a/b reduced
-      first and g1 = gcd(N, b), g2 = gcd(a, D), the result
+    - Walk. From n3 = _PMF_STEP_MIN_N3 on, right after a nonzero value
+      q = N/D at x - 1 the next one is q a/b, the 2F1 term ratio at t = 1
+      with a = (n1-x+1)(n2-x+1) and b = x (n3-n1-n2+x) > 0. With a/b
+      reduced first and g1 = gcd(N, b), g2 = gcd(a, D), the result
       (N/g1)(a/g2) / ((D/g2)(b/g1)) is in lowest terms because
       gcd(N, D) = gcd(a, b) = 1: two gcds with a small operand replace one
       gcd of two big integers.
-    - Prime exponents. Any other x in the support, on a law with
-      min(n2, n3-n2) from _PMF_PRIME_MIN_K + n3 // 32 on rows up to 2**16,
-      or where binomial(n3, n2) itself takes its prime path above (from
-      exact._PRIME_MIN_K_SIEVED + n3 // 64), is built in lowest terms
-      from the primes' exponent sums, with no big-integer gcd or division
-      and without the normaliser (`exact._binomial_quotient_from_primes`).
-    Any other x reduces `_numerator(x)` over the normaliser afresh. `_pmf`
-    is replaced as one tuple, so a concurrent reader sees a consistent
-    (x, q), and the next point up walks from it whatever route built it.
+    - Prime exponents. Any other x in the support of such a law, where
+      `exact._binomial_quotient_from_primes` finds them faster, is built in
+      lowest terms from the primes' exponent sums, with no big-integer gcd
+      or division and without the normaliser.
+    - Literal quotient. Every other x, and every x below that crossover:
+      the two binomials over the law's normaliser, reduced by one gcd.
+    `_pmf` is replaced as one tuple, so a concurrent reader sees a
+    consistent (x, q), and the next point up walks from it whatever route
+    built it.
     """
     n1, n2, n3 = params.n1, params.n2, params.n3
-    if n3 < _PMF_STEP_MIN_N3:
-        # read directly once built: every point of these laws reads it, and a
-        # method call per point made their pmf tables about 4% slower
+    q = None
+    if n3 >= _PMF_STEP_MIN_N3:
+        last = params._pmf
+        if last is not None and last[0] == x - 1:
+            q = last[1]
+            a = (n1 - x + 1) * (n2 - x + 1)
+            b = x * (n3 - n1 - n2 + x)
+            g = math.gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            num, den = q._numerator, q._denominator
+            g1 = math.gcd(num, b)
+            g2 = math.gcd(a, den)
+            num = num // g1 * (a // g2)
+            q = _reduced(num, den // g2 * (b // g1))
+        elif max(0, n1 + n2 - n3) <= x <= min(n1, n2):
+            q = _binomial_quotient_from_primes(n1, x, n3 - n1, n2 - x)
+    if q is None:
+        # read directly once built: every point of a small law reads it, and
+        # a method call per point made their pmf tables about 4% slower
         normaliser = params._normaliser or params._normaliser_value()
-        return _fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), normaliser)
-    last = params._pmf
-    if last is not None and last[0] == x - 1:
-        q = last[1]
-        a = (n1 - x + 1) * (n2 - x + 1)
-        b = x * (n3 - n1 - n2 + x)
-        g = math.gcd(a, b)
-        if g != 1:
-            a //= g
-            b //= g
-        num, den = q._numerator, q._denominator
-        g1 = math.gcd(num, b)
-        g2 = math.gcd(a, den)
-        num = num // g1 * (a // g2)
-        q = _reduced(num, den // g2 * (b // g1))
-    else:
-        primes = None
-        k = min(n2, n3 - n2)
-        if max(0, n1 + n2 - n3) <= x <= min(n1, n2) and (
-            n3 > _PRIMES_MAX_CACHED or k >= _PMF_PRIME_MIN_K + (n3 >> 5)
-        ):
-            primes = _prime_path(n3, k)
-        if primes is None:
-            num = params._numerator(x)
-            q = _fraction(num, params._normaliser_value())
-        else:
-            q = _binomial_quotient_from_primes(n1, x, n3 - n1, n2 - x, primes)
-            num = q.numerator
-    if num:
+        q = _fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), normaliser)
+        if n3 < _PMF_STEP_MIN_N3:
+            return q
+    if q._numerator:
         object.__setattr__(params, "_pmf", (x, q))
     return q
 

@@ -189,19 +189,40 @@ def test_binomial_prime_path_zero_convention_and_negative_row():
             binomial(-n, n // 2)
 
 
-def test_binomial_quotient_from_primes_on_every_small_row():
+def test_binomial_quotient_from_primes_on_every_small_row(monkeypatch):
     # every C(l1,k1) C(l2,k2) / C(l1+l2, k1+k2) with l1 + l2 <= 24, reduced
-    # as Fraction reduces it, over a prime table that runs past the row as
-    # the cached one does; rows with l1 or l2 below sqrt(l1 + l2) included
-    primes = exact._primes_upto(97)
+    # as Fraction reduces it, with the route forced on these short rows;
+    # rows with l1 or l2 below sqrt(l1 + l2) included
+    monkeypatch.setattr(exact, "_QUOTIENT_PRIME_MIN_K", 0)
+    monkeypatch.setattr(exact, "_PRIME_MIN_K", 0)
     for l in range(25):
         for l1 in range(l + 1):
             l2 = l - l1
             for k1 in range(l1 + 1):
                 for k2 in range(l2 + 1):
-                    q = exact._binomial_quotient_from_primes(l1, k1, l2, k2, primes)
+                    q = exact._binomial_quotient_from_primes(l1, k1, l2, k2)
                     want = Fraction(math.comb(l1, k1) * math.comb(l2, k2), math.comb(l, k1 + k2))
                     assert (q.numerator, q.denominator) == (want.numerator, want.denominator), (l1, k1, l2, k2)
+
+
+def test_binomial_quotient_from_primes_declines_below_its_rule():
+    # the quotient's own rule on cached rows, `binomial`'s sieved rule above
+    # them; k is split across both top binomials, from either side of the row
+    for l in (2200, 40000, 65536, 65537, 70000):
+        if l <= exact._PRIMES_MAX_CACHED:
+            j = exact._QUOTIENT_PRIME_MIN_K + l // 32
+        else:
+            j = exact._PRIME_MIN_K_SIEVED + l // 64
+        l1 = l * 2 // 5
+        l2 = l - l1
+        for k in (j - 1, j, l - j + 1, l - j):
+            k1 = min(l1, k * 2 // 5)
+            q = exact._binomial_quotient_from_primes(l1, k1, l2, k - k1)
+            if min(k, l - k) < j:
+                assert q is None, (l, k)
+                continue
+            want = Fraction(math.comb(l1, k1) * math.comb(l2, k - k1), math.comb(l, k))
+            assert (q.numerator, q.denominator) == (want.numerator, want.denominator), (l, k)
 
 
 def test_prime_table_is_the_primes_up_to_its_cap():

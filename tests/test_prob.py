@@ -511,7 +511,7 @@ def _prime_crossover(n3: int) -> int:
     prime route: the quotient's own crossover on rows up to 2**16, and
     binomial(n3, n2)'s prime path on rows that sieve per call."""
     if n3 <= exact._PRIMES_MAX_CACHED:
-        return prob._PMF_PRIME_MIN_K + n3 // 32
+        return exact._QUOTIENT_PRIME_MIN_K + n3 // 32
     return exact._PRIME_MIN_K_SIEVED + n3 // 64
 
 
@@ -555,8 +555,10 @@ class TestPmfPrimeRoute:
         real = prob._binomial_quotient_from_primes
 
         def counted(*args):
-            calls.append(args[:4])
-            return real(*args)
+            q = real(*args)
+            if q is not None:
+                calls.append(args)
+            return q
 
         monkeypatch.setattr(prob, "_binomial_quotient_from_primes", counted)
         for n1, n2, n3 in self._grid():
