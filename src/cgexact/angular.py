@@ -15,6 +15,7 @@ from itertools import accumulate
 from operator import mul
 
 from .exact import (
+    _ZERO,
     SignedSqrtRational,
     _fraction,
     _product_parts,
@@ -137,8 +138,10 @@ class CgLabels:
 
         Labels that pass __post_init__'s checks, made here on the six ints,
         and whose spins are in the shared HalfInt table are built from its
-        entries without running the checks again. Anything else goes through
-        the constructor, so its errors are the constructor's own.
+        entries without running the checks again: the six fields go into the
+        instance dict in one update, past the frozen dataclass's per-field
+        __setattr__. Anything else goes through the constructor, so its
+        errors are the constructor's own.
         """
         try:
             # -j <= m <= j makes j nonnegative; j <= _HALF_MAX keeps m in the table
@@ -149,13 +152,14 @@ class CgLabels:
                 and not ((ta ^ tal) | (tb ^ tbe) | (tc ^ tg)) & 1
             ):
                 labels = object.__new__(cls)
-                set_field = object.__setattr__
-                set_field(labels, "a", _HALVES[ta + _HALF_MAX])
-                set_field(labels, "alpha", _HALVES[tal + _HALF_MAX])
-                set_field(labels, "b", _HALVES[tb + _HALF_MAX])
-                set_field(labels, "beta", _HALVES[tbe + _HALF_MAX])
-                set_field(labels, "c", _HALVES[tc + _HALF_MAX])
-                set_field(labels, "gamma", _HALVES[tg + _HALF_MAX])
+                labels.__dict__.update(
+                    a=_HALVES[ta + _HALF_MAX],
+                    alpha=_HALVES[tal + _HALF_MAX],
+                    b=_HALVES[tb + _HALF_MAX],
+                    beta=_HALVES[tbe + _HALF_MAX],
+                    c=_HALVES[tc + _HALF_MAX],
+                    gamma=_HALVES[tg + _HALF_MAX],
+                )
                 return labels
         except TypeError:  # not ints: the constructor decides
             pass
@@ -236,7 +240,9 @@ def selection_rule_violation(labels: CgLabels) -> str | None:
 
 
 def selection_rules_satisfied(labels: CgLabels) -> bool:
-    """gamma = alpha + beta, the triangle rule, and integral a + b + c."""
+    """gamma = alpha + beta, the triangle rule, and integral a + b + c: True
+    exactly when `selection_rule_violation` names no rule. The backends call
+    `selection_rule_violation` directly, one call fewer per coefficient."""
     return selection_rule_violation(labels) is None
 
 
@@ -284,11 +290,11 @@ def cg_racah(labels: CgLabels) -> SignedSqrtRational:
     each later one as the previous times an integer ratio whose division is
     exact, because every term is an integer.
     """
-    if not selection_rules_satisfied(labels):
-        return SignedSqrtRational.zero()
+    if selection_rule_violation(labels) is not None:
+        return _ZERO
     zsum = sum(t for _, t in racah_zsum_terms(labels))
     if zsum == 0:
-        return SignedSqrtRational.zero()
+        return _ZERO
     ta, tb, tc = labels.a.twice, labels.b.twice, labels.c.twice
     p = (ta + tb - tc) // 2
     bracket = _fraction(
@@ -331,8 +337,8 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
     coefficient is S / p! times sqrt(Delta^2 * bracket), and it agrees with
     cg_racah exactly on every input.
     """
-    if not selection_rules_satisfied(labels):
-        return SignedSqrtRational.zero()
+    if selection_rule_violation(labels) is not None:
+        return _ZERO
     ta, tb, tc = labels.a.twice, labels.b.twice, labels.c.twice
     tal, tbe, tg = labels.alpha.twice, labels.beta.twice, labels.gamma.twice
     p = (ta + tb - tc) // 2  # a+b-c

@@ -263,7 +263,8 @@ def _fraction(num: int, den: int) -> Fraction:
     moves its sign to num, and den = 0 raises ZeroDivisionError as Fraction
     does (with a message that does not print num, which may be past the
     int-to-str digit limit). Fraction's constructor would take the same gcd
-    behind its type dispatch."""
+    behind its type dispatch. The reduced parts go straight into the slots,
+    as in `_reduced`, with no further call."""
     if den <= 0:
         if not den:
             raise ZeroDivisionError("Fraction with denominator 0")
@@ -272,7 +273,10 @@ def _fraction(num: int, den: int) -> Fraction:
     if g != 1:
         num //= g
         den //= g
-    return _reduced(num, den)
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
 
 
 def _product_parts(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:

@@ -165,11 +165,12 @@ def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
     """The numerators of `values` over their least common denominator, and
     that denominator. The lcm is folded pairwise, since an argument tuple
     unpacked into math.lcm stays on CPython's per-length tuple free list once
-    freed, until a full collection."""
+    freed, until a full collection. Every value is a Fraction, so its slots
+    are read in place of its properties."""
     common = 1
     for q in values:
-        common = math.lcm(common, q.denominator)
-    return [q.numerator * (common // q.denominator) for q in values], common
+        common = math.lcm(common, q._denominator)
+    return [q._numerator * (common // q._denominator) for q in values], common
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,8 @@ class PmfTable:
         ):
             entries = tuple((int(x), Fraction(q)) for x, q in entries)
             object.__setattr__(self, "entries", entries)
-        if any(q.numerator < 0 for _, q in entries):
+        # every entry is a Fraction by now
+        if any(q._numerator < 0 for _, q in entries):
             raise ValueError("probabilities must be nonnegative")
         # summed on integers, not as Fractions that reduce after every addition
         numerators, common = _over_common_denominator([q for _, q in entries])

@@ -129,7 +129,7 @@ def _distribution_cases(max_n3: int) -> Iterator:
                 # equals the expected Fraction when the cross products agree
                 if n3 >= 1:
                     expected_mean = prob.hypergeom_mean(params)
-                    a, b = expected_mean.numerator, expected_mean.denominator
+                    a, b = expected_mean._numerator, expected_mean._denominator
                     mean = sum(x * s for x, s in zip(support, scaled))
                     yield mean * b == a * common, lambda: (
                         f"n1={n1} n2={n2} n3={n3} mean",
@@ -140,8 +140,8 @@ def _distribution_cases(max_n3: int) -> Iterator:
                     # E[X(X-1)] + mean - mean^2 with mean = a/b, over common * b^2
                     variance = fact2 * b * b + (a * b - a * a) * common
                     expected_variance = prob.hypergeom_variance(params)
-                    yield variance * expected_variance.denominator == (
-                        expected_variance.numerator * common * b * b
+                    yield variance * expected_variance._denominator == (
+                        expected_variance._numerator * common * b * b
                     ), lambda: (
                         f"n1={n1} n2={n2} n3={n3} variance",
                         str(expected_variance), str(Fraction(variance, common * b * b)),

@@ -565,6 +565,25 @@ def test_selection_rule_violation_names_the_first_broken_rule():
         assert selection_rules_satisfied(labels) == (expected is None)
 
 
+def test_backends_return_the_shared_zero_on_every_selection_rule_violation():
+    # the default agreement sweep (2a, 2b <= 5, 2c <= 2a+2b+2, all
+    # projections), where most cases are selection-rule zeros
+    cases = zeros = 0
+    for ta, tb in itertools.product(range(6), repeat=2):
+        for tal, tbe in itertools.product(range(-ta, ta + 1, 2), range(-tb, tb + 1, 2)):
+            for tc in range(ta + tb + 3):
+                for tg in range(-tc, tc + 1, 2):
+                    labels = CgLabels.from_twice(ta, tal, tb, tbe, tc, tg)
+                    violation = selection_rule_violation(labels)
+                    assert selection_rules_satisfied(labels) == (violation is None)
+                    cases += 1
+                    if violation is not None:
+                        zeros += 1
+                        assert cg_racah(labels) is SignedSqrtRational.zero()
+                        assert cg_3f2(labels) is SignedSqrtRational.zero()
+    assert (cases, zeros) == (23716, 22533)
+
+
 def _all_labels(max_twice_ab: int):
     """Every label set with 2a, 2b <= max_twice_ab that meets the selection rules."""
     for ta in range(max_twice_ab + 1):

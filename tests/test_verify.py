@@ -166,6 +166,24 @@ def _constant_3f2(monkeypatch):
     )
 
 
+def _gamma_blind_3f2(monkeypatch):
+    # evaluates at gamma := alpha + beta wherever that label set is valid,
+    # so only the gamma != alpha + beta zeros can go wrong
+    real = angular.cg_3f2
+
+    def blind(labels):
+        try:
+            labels = angular.CgLabels.from_twice(
+                labels.a.twice, labels.alpha.twice, labels.b.twice, labels.beta.twice,
+                labels.c.twice, labels.alpha.twice + labels.beta.twice,
+            )
+        except angular.InvalidLabelsError:
+            pass
+        return real(labels)
+
+    monkeypatch.setattr(angular, "cg_3f2", blind)
+
+
 def _doubled_ratio(monkeypatch):
     real = angular.cg_degenerate_squared
     monkeypatch.setattr(angular, "cg_degenerate_squared", lambda labels: real(labels) * 2)
@@ -233,6 +251,11 @@ GOLDEN_FAULTS = {
         ("a=0 alpha=0 b=0 beta=0 c=0 gamma=0", "+sqrt(1)", "+sqrt(7/5)"),
         ("a=0 alpha=0 b=1/2 beta=1/2 c=1/2 gamma=1/2", "+sqrt(1)", "+sqrt(7/5)"),
     ),
+    "agreement-gamma": (
+        _gamma_blind_3f2, run_backend_agreement, 2, 700, 116,
+        ("a=0 alpha=0 b=1 beta=-1 c=1 gamma=0", "0", "+sqrt(1)"),
+        ("a=1/2 alpha=1/2 b=1/2 beta=1/2 c=1 gamma=0", "0", "+sqrt(1)"),
+    ),
     "degenerate-ratio": (
         _doubled_ratio, run_degenerate_identity, 3, 100, 100,
         ("l1=0 k1=0 l2=0 k2=0", "sign=+1 radicand=2",
@@ -294,6 +317,25 @@ def test_golden_failure_rows(monkeypatch, name):
     assert len(report.failures) == min(failure_count, 20)
     rows = [(f.input, f.expected, f.actual) for f in report.failures]
     assert (rows[0], rows[-1]) == (first, last)
+
+
+def test_gamma_fault_fails_exactly_the_nonzero_corrected_cases():
+    # the agreement-gamma row's failure count, counted from cg_racah: the
+    # gamma != alpha + beta label sets whose value at gamma := alpha + beta,
+    # where that set is valid, is nonzero
+    count = 0
+    for ta in range(3):
+        for tb in range(3):
+            for tal in range(-ta, ta + 1, 2):
+                for tbe in range(-tb, tb + 1, 2):
+                    tg = tal + tbe
+                    for tc in range(ta + tb + 3):
+                        if abs(tg) <= tc and (tc + tg) % 2 == 0:
+                            labels = angular.CgLabels.from_twice(ta, tal, tb, tbe, tc, tg)
+                            # one failing case per other gamma of this c
+                            if not angular.cg_racah(labels).is_zero:
+                                count += tc
+    assert count == GOLDEN_FAULTS["agreement-gamma"][4]
 
 
 def test_off_by_one_lowering_factor_is_caught(monkeypatch, capsys):
