@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import pickle
 import re
 import sys
 from decimal import Decimal
@@ -228,7 +230,72 @@ def _cmd_limit(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
     return [_record(command, tv, args.digits, n3=n3) for n3, tv in results], EXIT_OK
 
 
+def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteReport]:
+    """Each suite's report, in the order given: the last suite runs in a
+    forked child while this process runs the others, since no suite reads
+    what another computes. Without `os.fork` they run one after another.
+
+    The child calls the same `suite.run`, so a monkeypatched runner or
+    backend is inherited, and sends ("report", SuiteReport) or ("error",
+    exception) down a pipe; an exception that does not pickle goes as a
+    RuntimeError with its repr. It always leaves through `os._exit`, so it
+    never flushes the stdio or the `--output` file it inherited and runs no
+    exit handlers. Here the child's exception is raised as if its suite had
+    run in this process, and a child that ends without a report raises
+    RuntimeError naming its suite and exit status. If a suite run here raises
+    (KeyboardInterrupt included), the child is killed and reaped before the
+    exception propagates, so no child outlives the call.
+    """
+    if not hasattr(os, "fork"):
+        return [suite.run(size) for suite, size in zip(suites, sizes)]
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                message = ("report", suites[-1].run(sizes[-1]))
+            except BaseException as exc:
+                message = ("error", exc)
+            try:
+                # an exception can pickle and still fail to unpickle, when its
+                # __init__ takes other arguments than its args
+                data = pickle.dumps(message)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps(("error", RuntimeError(repr(message[1]))))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            reports = [suite.run(size) for suite, size in zip(suites[:-1], sizes[:-1])]
+            data = pipe.read()
+        except BaseException:
+            import signal  # only this path needs it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    _, status = os.waitpid(pid, 0)
+    if not data:
+        raise RuntimeError(
+            f"the {suites[-1].name} suite's process ended without a report "
+            f"(exit status {os.waitstatus_to_exitcode(status)})"
+        )
+    kind, value = pickle.loads(data)
+    if kind == "error":
+        raise value
+    return reports + [value]
+
+
 def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
+    """The selected suites' report. A suite that raises ValueError or
+    ArithmeticError, in this process or in the child `_run_suites` forks,
+    is a usage error (exit 2) with the same message either way; any other
+    exception propagates from `main`."""
     suites = [s for name, s in verify_suites.SUITES.items() if args.suite in (name, "all")]
     sizes = [suite.checked(getattr(args, suite.param)) for suite in suites]
     # the report path is opened before any suite runs, so a path that cannot
@@ -238,7 +305,7 @@ def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]
     except OSError as exc:
         raise ValueError(f"cannot write the report to {args.output!r}: {exc.strerror}") from None
     with output or contextlib.nullcontext():
-        reports = [suite.run(size) for suite, size in zip(suites, sizes)]
+        reports = _run_suites(suites, sizes)
         all_passed = all(r.passed for r in reports)
         record = {
             "command": _echo(argv),

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from cgexact import angular
+from cgexact import angular, prob, verify
 from cgexact.cli import main
 from cgexact.exact import SignedSqrtRational, sqrt_to_decimal
 from cgexact.prob import HypergeomParams, hypergeom_mgf, hypergeom_pmf
@@ -477,6 +478,21 @@ class TestNegativeValues:
             assert captured.out == f"error: {message}\n"
 
 
+SMALL_SIZES = ("--max-twice-ab", "1", "--max-l", "2", "--max-n3", "4")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the forked run needs os.fork")
+
+
+class _TwoArgumentError(Exception):
+    # pickles, but its one arg does not unpickle through __init__
+    def __init__(self, first: str, second: str) -> None:
+        super().__init__(first + second)
+
+
+def _assert_no_child() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestVerifyCommand:
     def test_passing_suites_exit_0(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -552,11 +568,93 @@ class TestVerifyCommand:
         assert calls == []
 
     def test_output_file_is_the_json_stdout(self, capsys, tmp_path):
-        out_path = tmp_path / "report.json"
-        _, _, out = run_json(
-            capsys, "verify", "--suite", "degenerate", "--max-l", "2", "--output", str(out_path)
-        )
-        assert out_path.read_text(encoding="utf-8") == out
+        # with --suite all, the forked child holds the open report file too,
+        # and must not write it a second time
+        for suite_args in (
+            ["--suite", "degenerate", "--max-l", "2"], ["--suite", "all", *SMALL_SIZES]
+        ):
+            out_path = tmp_path / "report.json"
+            _, _, out = run_json(capsys, "verify", *suite_args, "--output", str(out_path))
+            assert out_path.read_text(encoding="utf-8") == out
+
+    def test_child_suite_fault_gives_the_in_process_rows(self, capsys, monkeypatch):
+        monkeypatch.setattr(prob, "hypergeom_pgf", lambda params, t: 2)
+        want = verify.run_distribution_identities(4).to_dict()
+        assert want["failure_count"] > 0
+        code, record, _ = run_json(capsys, "verify", *SMALL_SIZES)
+        assert code == 1
+        assert record["suites"][-1] == want
+
+    @needs_fork
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_child_suite_error_exits_2(self, capsys, monkeypatch, fork):
+        def boom(size):
+            raise ArithmeticError("boom")
+
+        monkeypatch.setattr(verify, "run_distribution_identities", boom)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        code = main(["verify", *SMALL_SIZES, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "cgexact: boom\n"
+        assert json.loads(captured.out)["detail"] == "boom"
+
+    @needs_fork
+    def test_child_that_ends_without_a_report_raises(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "run_distribution_identities", lambda size: os._exit(3))
+        with pytest.raises(RuntimeError, match="distribution_identities.*exit status 3"):
+            main(["verify", *SMALL_SIZES])
+        _assert_no_child()
+
+    @needs_fork
+    @pytest.mark.parametrize("unpicklable", ["local class", "two-argument __init__"])
+    def test_child_error_that_does_not_pickle_raises_its_repr(
+        self, capsys, monkeypatch, unpicklable
+    ):
+        class Local(Exception):
+            pass
+
+        error = Local("boom") if unpicklable == "local class" else _TwoArgumentError("bo", "om")
+
+        def fail(size):
+            raise error
+
+        monkeypatch.setattr(verify, "run_distribution_identities", fail)
+        with pytest.raises(RuntimeError) as excinfo:
+            main(["verify", *SMALL_SIZES])
+        assert str(excinfo.value) == repr(error)
+        _assert_no_child()
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "error", [None, ArithmeticError("boom"), KeyboardInterrupt()],
+        ids=["returns", "ArithmeticError", "KeyboardInterrupt"],
+    )
+    def test_no_child_outlives_main(self, capsys, monkeypatch, error):
+        argv = ["verify", *SMALL_SIZES]
+        if error is not None:
+            def fail(size):
+                raise error
+
+            monkeypatch.setattr(verify, "run_backend_agreement", fail)
+            # the child's suite is still running when the parent's fails
+            argv[-1] = "30"
+        if isinstance(error, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            main(argv)
+        _assert_no_child()
+
+    @needs_fork
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_stdout_without_fork_is_the_forked_stdout(self, capfd, monkeypatch, fmt):
+        # capfd, not capsys: the child's writes to the inherited stdio would
+        # land in its own copy of an in-memory sys.stdout
+        forked = run_cli(capfd, "verify", *SMALL_SIZES, "--format", fmt)
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(capfd, "verify", *SMALL_SIZES, "--format", fmt) == forked
 
     def test_output_path_keeps_the_name_as_typed(self, capsys, monkeypatch, tmp_path):
         # "-1.json" starts like a negative number, so argparse sees it shielded
