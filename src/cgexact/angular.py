@@ -18,8 +18,8 @@ from .exact import (
     _ZERO,
     SignedSqrtRational,
     _fraction,
-    _product_parts,
     _reduced,
+    _reduced_product,
     _trusted,
     binomial,
     factorial,
@@ -210,7 +210,7 @@ class ProductStateVector:
     entries: dict[tuple[HalfInt, HalfInt], SignedSqrtRational]
 
     def amplitude(self, m1: HalfInt, m2: HalfInt) -> SignedSqrtRational:
-        return self.entries.get((m1, m2), SignedSqrtRational.zero())
+        return self.entries.get((m1, m2), _ZERO)
 
     def norm_squared(self) -> Fraction:
         """Exact squared norm; signs square away, so this is a radicand sum."""
@@ -241,8 +241,8 @@ def selection_rule_violation(labels: CgLabels) -> str | None:
 
 def selection_rules_satisfied(labels: CgLabels) -> bool:
     """gamma = alpha + beta, the triangle rule, and integral a + b + c: True
-    exactly when `selection_rule_violation` names no rule. The backends call
-    `selection_rule_violation` directly, one call fewer per coefficient."""
+    exactly when `selection_rule_violation` names no rule. Public for
+    callers that want only the verdict; nothing in the package calls it."""
     return selection_rule_violation(labels) is None
 
 
@@ -261,7 +261,7 @@ def racah_zsum_terms(labels: CgLabels) -> list[tuple[int, int]]:
     and whose division is exact because t_{z+1} is an integer. Requires the
     selection rules to hold (the sum is undefined otherwise).
     """
-    if not selection_rules_satisfied(labels):
+    if selection_rule_violation(labels) is not None:
         raise ValueError("z-sum is only defined when the selection rules hold")
     ta, tb, tc = labels.a.twice, labels.b.twice, labels.c.twice
     p = (ta + tb - tc) // 2  # a+b-c
@@ -369,10 +369,10 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
         -first_num if k0 % 2 else first_num, first_den,
     )
     delta2 = delta_abc(labels.a, labels.b, labels.c).radicand
-    num, den = _product_parts(
+    radicand = _reduced_product(
         delta2._numerator, delta2._denominator, bracket._numerator, bracket._denominator
     )
-    return SignedSqrtRational.from_scaled_sqrt(coeff, _reduced(num, den))
+    return SignedSqrtRational.from_scaled_sqrt(coeff, radicand)
 
 
 def cg_degenerate_squared(labels: DegenerateLabels) -> Fraction:
@@ -410,14 +410,9 @@ def _lowering_states(ta: int, tb: int, first: int) -> Iterator[ProductStateVecto
     over j = lo..hi, and the next is J- = J1- + J2- on it: count'[j] =
     count[j-1] + count[j], the first term while spin 2 can still lower and
     the second while spin 1 can, a literal sum of positive path counts, so
-    every sign is +1. Only the rows yielded are normalised. The radicals are
-    built twice from fresh `_lowering_factor` calls and must agree: a factor
-    that changes between calls would give two moves into one key different
-    radicals, and raises ArithmeticError instead.
+    every sign is +1. Only the rows yielded are normalised.
     """
     r1, r2 = _lowering_radicals(ta), _lowering_radicals(tb)
-    if [r1, r2] != [_lowering_radicals(ta), _lowering_radicals(tb)]:
-        raise ArithmeticError(f"lowering factors of spins {HalfInt(ta)}, {HalfInt(tb)} vary")
     m1s = [_half(t) for t in range(ta, -ta - 1, -2)]  # spin 1 lowered 0, 1, ... times
     m2s = [_half(t) for t in range(tb, -tb - 1, -2)]
     lo, counts = 0, [1]

@@ -279,9 +279,9 @@ def _fraction(num: int, den: int) -> Fraction:
     return value
 
 
-def _product_parts(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    """Numerator and denominator of (an/ad)(bn/bd) in lowest terms, for two
-    fractions in lowest terms with ad, bd > 0.
+def _reduced_product(an: int, ad: int, bn: int, bd: int) -> Fraction:
+    """(an/ad)(bn/bd) as a Fraction in lowest terms, for two fractions in
+    lowest terms with ad, bd > 0.
 
     No prime of an divides ad and none of bn divides bd, so gcd(an, bd) and
     gcd(bn, ad) take out every common factor of the product: Fraction's own
@@ -296,7 +296,7 @@ def _product_parts(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     if g != 1:
         bn //= g
         ad //= g
-    return an * bn, ad * bd
+    return _reduced(an * bn, ad * bd)
 
 
 def _rational(x: Fraction | int) -> Fraction | int:
@@ -344,8 +344,8 @@ class SignedSqrtRational:
             return _ZERO
         c_den = coeff.denominator
         # c_num**2 / c_den**2 is in lowest terms as c_num / c_den is
-        num, den = _product_parts(c_num * c_num, c_den * c_den, r_num, radicand.denominator)
-        return _trusted(1 if c_num > 0 else -1, _reduced(num, den))
+        radicand = _reduced_product(c_num * c_num, c_den * c_den, r_num, radicand.denominator)
+        return _trusted(1 if c_num > 0 else -1, radicand)
 
     @property
     def is_zero(self) -> bool:
@@ -358,8 +358,8 @@ class SignedSqrtRational:
         if sign == 0:
             return _ZERO
         a, b = self.radicand, other.radicand
-        num, den = _product_parts(a._numerator, a._denominator, b._numerator, b._denominator)
-        return _trusted(sign, _reduced(num, den))
+        radicand = _reduced_product(a._numerator, a._denominator, b._numerator, b._denominator)
+        return _trusted(sign, radicand)
 
     def __neg__(self) -> "SignedSqrtRational":
         if self.sign == 0:
@@ -374,10 +374,10 @@ class SignedSqrtRational:
         if factor.numerator == 0 or self.sign == 0:
             return _ZERO
         radicand = self.radicand
-        num, den = _product_parts(
+        radicand = _reduced_product(
             radicand._numerator, radicand._denominator, factor.numerator, factor.denominator
         )
-        return _trusted(self.sign, _reduced(num, den))
+        return _trusted(self.sign, radicand)
 
     def __str__(self) -> str:
         if self.sign == 0:

@@ -7,8 +7,10 @@ mathematics of its own. A passing case is only counted; its failure row
 (input, expected, actual) is formatted only when the check fails.
 
 Every suite is declared once, as a row of `SUITES`; adding a suite means one
-case generator, yielding (ok, row()) per case, plus one row. The CLI builds
-its `--suite` choices and size flags from the rows.
+case generator, yielding (ok, row()) per case, one row, and one public
+runner `run_<name>`, listed in `__all__`. `_Suite.run` calls that runner by
+name, so that a tracer or a monkeypatch sees the call. The CLI builds its
+`--suite` choices and size flags from the rows.
 """
 
 from __future__ import annotations

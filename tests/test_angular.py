@@ -220,8 +220,11 @@ def test_racah_zsum_collapses_to_z0_for_degenerate_labels():
 
 
 def test_racah_zsum_requires_selection_rules():
-    with pytest.raises(ValueError):
-        racah_zsum_terms(CgLabels.from_twice(1, 1, 1, 1, 2, 0))
+    # gamma != alpha + beta, then the triangle rule; with gamma = alpha + beta
+    # the label parities make a + b + c an integer
+    for twice in ((1, 1, 1, 1, 2, 0), (2, 0, 2, 0, 6, 0)):
+        with pytest.raises(ValueError, match="^z-sum is only defined when the selection rules hold$"):
+            racah_zsum_terms(CgLabels.from_twice(*twice))
 
 
 class TestCg3f2:
@@ -378,6 +381,8 @@ class TestLadder:
         )
         assert len(vector.entries) == 2
         assert vector.norm_squared() == 1
+        # a projection pair outside the row reads the shared zero
+        assert vector.amplitude(HalfInt(1), HalfInt(1)) is SignedSqrtRational.zero()
 
     def test_top_state(self):
         vector = cg_ladder_stretched(HalfInt(3), HalfInt(4), 0)
@@ -448,14 +453,6 @@ class TestLadder:
             m1, m2 = list(row.entries)[len(row.entries) // 2]
             labels = CgLabels.from_twice(ta, m1.twice, tb, m2.twice, ta + tb, m1.twice + m2.twice)
             assert row.amplitude(m1, m2) == cg_racah(labels)
-
-    def test_merge_checks_the_shared_radical(self, monkeypatch):
-        # a lowering factor that changes from call to call gives two paths
-        # into the same key different radicals; the merge must refuse them
-        factors = itertools.count(1)
-        monkeypatch.setattr(angular, "_lowering_factor", lambda tj, tm: next(factors))
-        with pytest.raises(ArithmeticError):
-            cg_ladder_stretched(HalfInt(1), HalfInt(1), 2)
 
 
 class TestCgTo3jm:

@@ -320,7 +320,7 @@ def test_fraction_is_the_fraction_of_ints():
             exact._fraction(n, 0)
 
 
-def test_product_parts_is_the_fraction_product():
+def test_reduced_product_is_the_fraction_product():
     # lowest-terms values from the grid: every small one, so that both
     # cross gcds (an with bd, bn with ad) take out factors, and every fifth
     # big one
@@ -329,8 +329,9 @@ def test_product_parts_is_the_fraction_product():
     values += [Fraction(n, d) for n, d in grid[156::5]]
     for a, b in itertools.product(values, repeat=2):
         want = a * b
-        got = exact._product_parts(a.numerator, a.denominator, b.numerator, b.denominator)
-        assert got == (want.numerator, want.denominator)
+        got = exact._reduced_product(a.numerator, a.denominator, b.numerator, b.denominator)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
 
 
 class TestSignedSqrtRational:

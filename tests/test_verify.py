@@ -78,6 +78,16 @@ def test_size_preconditions():
         run_distribution_identities(1)
 
 
+def test_every_suite_row_has_its_public_runner():
+    # _Suite.run calls run_<name> by name, so a row added without its runner
+    # would fail only when `cgexact verify` reached it
+    for row in verify.SUITES.values():
+        name = f"run_{row.name}"
+        assert callable(getattr(verify, name, None)), name
+        assert name in verify.__all__, name
+        assert row.run(row.least).to_dict() == row.report(row.least).to_dict()
+
+
 def test_backend_agreement_fault_injection(monkeypatch):
     # negation of zero is zero, so only genuinely nonzero cases disagree
     monkeypatch.setattr(angular, "cg_3f2", lambda labels: -angular.cg_racah(labels))
