@@ -44,7 +44,6 @@ __all__ = [
     "delta_abc",
     "racah_zsum_terms",
     "selection_rule_violation",
-    "selection_rules_satisfied",
 ]
 
 
@@ -237,13 +236,6 @@ def selection_rule_violation(labels: CgLabels) -> str | None:
     if labels.gamma.twice != labels.alpha.twice + labels.beta.twice:
         return "selection rule: gamma != alpha+beta"
     return _triangle_violation(labels.a.twice, labels.b.twice, labels.c.twice)
-
-
-def selection_rules_satisfied(labels: CgLabels) -> bool:
-    """gamma = alpha + beta, the triangle rule, and integral a + b + c: True
-    exactly when `selection_rule_violation` names no rule. Public for
-    callers that want only the verdict; nothing in the package calls it."""
-    return selection_rule_violation(labels) is None
 
 
 def racah_zsum_terms(labels: CgLabels) -> list[tuple[int, int]]:

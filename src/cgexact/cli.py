@@ -152,19 +152,21 @@ def _cmd_coefficient(args: argparse.Namespace, argv: list[str]) -> tuple[object,
         raise ValueError("ladder backend requires c = a + b")
     names = list(_BACKENDS) if args.backend == "all" else [args.backend]
     values = {}
-    detail = ""
     for name in names:
         if name == "ladder" and not stretched:
-            detail = "ladder backend skipped: requires c = a + b"
             continue
         value = _BACKENDS[name](labels)
         values[name] = cg_to_3jm(labels, value) if args.to_3jm else value
     value = values[names[0]]
-    if value.is_zero and not detail:
-        detail = (
+    # why the value is zero comes first, then which backend did not run
+    notes = []
+    if value.is_zero:
+        notes.append(
             selection_rule_violation(labels) or "coefficient vanishes: alternating sum is zero"
         )
-    record = _record(_echo(argv), value, args.digits, detail)
+    if len(values) < len(names):
+        notes.append("ladder backend skipped: requires c = a + b")
+    record = _record(_echo(argv), value, args.digits, "; ".join(notes))
     if args.backend == "all":
         # the comparison goes between the decimal and the detail, which stays last
         record.update(
@@ -323,21 +325,21 @@ def _render_text(payload: object) -> str:
     if isinstance(payload, list):
         return "\n".join(_render_text(record) for record in payload)
     record = payload
-    if record.get("status") == "error":
-        return f"error: {record['detail']}"
-    if "suites" in record:
-        lines = []
-        for suite in record["suites"]:
-            verdict = "PASS" if suite["passed"] else "FAIL"
+    # a failed verify lists its suites, failure rows included, before the error
+    lines = []
+    for suite in record.get("suites", ()):
+        verdict = "PASS" if suite["passed"] else "FAIL"
+        lines.append(
+            f"{verdict} {suite['suite_name']} "
+            f"(cases={suite['cases_run']} failures={suite['failure_count']})"
+        )
+        for failure in suite["failures"]:
             lines.append(
-                f"{verdict} {suite['suite_name']} "
-                f"(cases={suite['cases_run']} failures={suite['failure_count']})"
+                f"  {failure['input']}: expected {failure['expected']}, got {failure['actual']}"
             )
-            for failure in suite["failures"]:
-                lines.append(
-                    f"  {failure['input']}: expected {failure['expected']}, "
-                    f"got {failure['actual']}"
-                )
+    if record["status"] == "error":
+        lines.append(f"error: {record['detail']}")
+    if lines:
         return "\n".join(lines)
     if "table" in record:
         return "\n".join(

@@ -15,7 +15,6 @@ name, so that a tracer or a monkeypatch sees the call. The CLI builds its
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,9 +68,6 @@ class SuiteReport:
             "passed": self.passed,
             "failures": [f.to_dict() for f in self.failures],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _agreement_cases(max_twice_ab: int) -> Iterator:

@@ -29,7 +29,6 @@ from cgexact.angular import (
     delta_abc,
     racah_zsum_terms,
     selection_rule_violation,
-    selection_rules_satisfied,
 )
 from cgexact.exact import SignedSqrtRational, binomial, factorial, sqrt_to_decimal
 
@@ -172,12 +171,12 @@ class TestDegenerateLabels:
 
 
 def test_selection_rules_examples():
-    assert selection_rules_satisfied(CgLabels.from_twice(1, 1, 1, -1, 2, 0))
-    assert not selection_rules_satisfied(CgLabels.from_twice(1, 1, 1, 1, 2, 0))
-    assert not selection_rules_satisfied(CgLabels.from_twice(2, 0, 2, 0, 6, 0))
+    assert selection_rule_violation(CgLabels.from_twice(1, 1, 1, -1, 2, 0)) is None
+    assert selection_rule_violation(CgLabels.from_twice(1, 1, 1, 1, 2, 0)) is not None
+    assert selection_rule_violation(CgLabels.from_twice(2, 0, 2, 0, 6, 0)) is not None
     # a + b + c non-integral fails, reachable only alongside gamma != alpha+beta
     # (label parities force integrality whenever gamma = alpha + beta)
-    assert not selection_rules_satisfied(CgLabels.from_twice(1, 1, 1, -1, 1, 1))
+    assert selection_rule_violation(CgLabels.from_twice(1, 1, 1, -1, 1, 1)) is not None
 
 
 class TestCgRacah:
@@ -203,7 +202,7 @@ class TestCgRacah:
     def test_zsum_cancellation_zero(self):
         # <1 0; 1 0 | 1 0> vanishes through cancellation, not selection rules
         labels = CgLabels.from_twice(2, 0, 2, 0, 2, 0)
-        assert selection_rules_satisfied(labels)
+        assert selection_rule_violation(labels) is None
         assert cg_racah(labels).is_zero
 
 
@@ -559,7 +558,6 @@ def test_selection_rule_violation_names_the_first_broken_rule():
     for twice, expected in cases:
         labels = CgLabels.from_twice(*twice)
         assert selection_rule_violation(labels) == expected
-        assert selection_rules_satisfied(labels) == (expected is None)
 
 
 def test_backends_return_the_shared_zero_on_every_selection_rule_violation():
@@ -572,7 +570,6 @@ def test_backends_return_the_shared_zero_on_every_selection_rule_violation():
                 for tg in range(-tc, tc + 1, 2):
                     labels = CgLabels.from_twice(ta, tal, tb, tbe, tc, tg)
                     violation = selection_rule_violation(labels)
-                    assert selection_rules_satisfied(labels) == (violation is None)
                     cases += 1
                     if violation is not None:
                         zeros += 1
@@ -662,7 +659,7 @@ def test_racah_and_3f2_agree_at_large_j():
     regimes = set()
     for twice in label_sets:
         labels = CgLabels.from_twice(*twice)
-        assert selection_rules_satisfied(labels)
+        assert selection_rule_violation(labels) is None
         value = cg_3f2(labels)
         assert not value.is_zero
         assert value == cg_racah(labels)
@@ -691,7 +688,7 @@ def test_racah_zsum_recurrence_matches_literal_binomials_small():
                 if abs(tal + tbe) > tc:
                     continue
                 labels = CgLabels.from_twice(ta, tal, tb, tbe, tc, tal + tbe)
-                assert selection_rules_satisfied(labels)
+                assert selection_rule_violation(labels) is None
                 assert racah_zsum_terms(labels) == _literal_zsum(labels)
                 checked += 1
     assert checked == 20_240
@@ -727,7 +724,7 @@ def test_racah_and_3f2_agree_at_2j_up_to_4000():
     ]
     for twice in label_sets:
         labels = CgLabels.from_twice(*twice)
-        assert selection_rules_satisfied(labels)
+        assert selection_rule_violation(labels) is None
         value = cg_racah(labels)
         assert not value.is_zero
         assert value == cg_3f2(labels)
@@ -737,7 +734,7 @@ def test_racah_and_3f2_both_vanish_by_cancellation_at_2j_2000():
     # <1000 0; 1000 0 | 1001 0> breaks no selection rule and its z-sum has
     # 1000 nonzero terms, yet it cancels exactly (a + b + c is odd)
     labels = CgLabels.from_twice(2000, 0, 2000, 0, 2002, 0)
-    assert selection_rules_satisfied(labels)
+    assert selection_rule_violation(labels) is None
     terms = racah_zsum_terms(labels)
     assert len(terms) == 1000 and all(t != 0 for _, t in terms)
     assert sum(t for _, t in terms) == 0

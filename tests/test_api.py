@@ -21,7 +21,7 @@ PUBLIC = {
     "factorial", "hypergeom_mean", "hypergeom_mgf", "hypergeom_pgf", "hypergeom_pmf",
     "hypergeom_variance", "racah_zsum_terms", "rational_to_decimal", "run_backend_agreement",
     "run_degenerate_identity", "run_distribution_identities", "selection_rule_violation",
-    "selection_rules_satisfied", "sqrt_to_decimal",
+    "sqrt_to_decimal",
 }
 
 

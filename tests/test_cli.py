@@ -76,13 +76,20 @@ class TestCgCommand:
         assert "requires c = a + b" in record["detail"]
 
     def test_backend_all_skips_ladder_off_stretch(self, capsys):
-        code, record, _ = run_json(
-            capsys, "cg", "1", "1", "1", "-1", "1", "0", "--backend", "all"
-        )
-        assert code == 0
-        assert set(record["backends"]) == {"racah", "3f2"}
-        assert record["agreement"] is True
-        assert "ladder backend skipped" in record["detail"]
+        skipped = "ladder backend skipped: requires c = a + b"
+        # why a value is zero comes before the skip note
+        for labels, reason in (
+            ("1 1 1 -1 1 0", ""),
+            ("1 1 1 1 1 0", "selection rule: gamma != alpha+beta"),
+            ("1 0 1 0 1 0", "coefficient vanishes: alternating sum is zero"),
+        ):
+            code, record, _ = run_json(capsys, "cg", *labels.split(), "--backend", "all")
+            assert code == 0
+            assert set(record["backends"]) == {"racah", "3f2"}
+            assert record["agreement"] is True
+            assert record["detail"] == (f"{reason}; {skipped}" if reason else skipped)
+            _, alone, _ = run_json(capsys, "cg", *labels.split())
+            assert alone["detail"] == reason
 
     def test_text_format_default(self, capsys):
         code, out = run_cli(capsys, "cg", "1/2", "1/2", "1/2", "-1/2", "1", "0")
@@ -656,6 +663,30 @@ class TestVerifyCommand:
         monkeypatch.delattr(os, "fork")
         assert run_cli(capfd, "verify", *SMALL_SIZES, "--format", fmt) == forked
 
+    @needs_fork
+    def test_failing_text_report_lists_the_failure_rows(self, capfd, monkeypatch):
+        monkeypatch.setattr(prob, "hypergeom_pgf", lambda params, t: 2)
+        code, out = run_cli(capfd, "verify", *SMALL_SIZES, "--format", "text")
+        _, record, _ = run_json(capfd, "verify", *SMALL_SIZES)
+        failing = record["suites"][-1]
+        assert code == 1
+        assert failing["failures"]
+        lines = out.splitlines()
+        assert [line.split(" (")[0] for line in lines[:2]] == [
+            "PASS backend_agreement", "PASS degenerate_identity"
+        ]
+        assert lines[2:] == [
+            f"FAIL distribution_identities "
+            f"(cases={failing['cases_run']} failures={failing['failure_count']})",
+            *(
+                f"  {row['input']}: expected {row['expected']}, got {row['actual']}"
+                for row in failing["failures"]
+            ),
+            "error: one or more suites reported failures",
+        ]
+        monkeypatch.delattr(os, "fork")
+        assert run_cli(capfd, "verify", *SMALL_SIZES, "--format", "text") == (code, out)
+
     def test_output_path_keeps_the_name_as_typed(self, capsys, monkeypatch, tmp_path):
         # "-1.json" starts like a negative number, so argparse sees it shielded
         monkeypatch.chdir(tmp_path)
@@ -749,7 +780,7 @@ PINNED_BYTES = [
     ("cg 1 0 1 0 2 0 --backend ladder --digits 40", "c1000a0c4e845b21", "0cd5d1ba9edd62f4"),
     ("cg 3/2 1/2 1 -1 5/2 -1/2 --backend all", "3b8a7a9a0a8177be", "3b03598a75e0aefe"),
     ("cg 1 1 1 -1 1 0 --backend all", "ac04f03bf021b225", "ad99e35143b98504"),
-    ("cg 1 0 1 0 1 0 --backend all", "daee9237afdd60ee", "1a797a4a1a0dc86f"),
+    ("cg 1 0 1 0 1 0 --backend all", "03f1bce3f48221e7", "2832c1d5f3d7bd53"),
     ("cg 1/2 1/2 1/2 1/2 1 0", "5e9c730d3c309b4d", "132df2c60990efe9"),
     ("cg 1 0 1 0 1 0 --backend ladder", "454b4988a1128582", "98424a3ecc3293fc"),
     ("cg 1/2 3/2 1/2 -1/2 1 0", "cf330a49d8480128", "24d805f1feef9a80"),
