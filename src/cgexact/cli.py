@@ -233,13 +233,14 @@ def _cmd_limit(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
 
 
 def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteReport]:
-    """Each suite's report, in the order given: the last suite runs in a
-    forked child while this process runs the others, since no suite reads
-    what another computes. Without `os.fork` they run one after another.
+    """Each suite's report, in the order given: of two or more suites, the
+    last runs in a forked child while this process runs the others, since no
+    suite reads what another computes. A single suite, or any suites without
+    `os.fork`, run in this process one after another.
 
     The child calls the same `suite.run`, so a monkeypatched runner or
-    backend is inherited, and sends ("report", SuiteReport) or ("error",
-    exception) down a pipe; an exception that does not pickle goes as a
+    backend is inherited, and pickles its SuiteReport, or the exception its
+    suite raised, down a pipe; an exception that does not pickle goes as a
     RuntimeError with its repr. It always leaves through `os._exit`, so it
     never flushes the stdio or the `--output` file it inherited and runs no
     exit handlers. Here the child's exception is raised as if its suite had
@@ -248,7 +249,7 @@ def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteRepor
     (KeyboardInterrupt included), the child is killed and reaped before the
     exception propagates, so no child outlives the call.
     """
-    if not hasattr(os, "fork"):
+    if len(suites) < 2 or not hasattr(os, "fork"):
         return [suite.run(size) for suite, size in zip(suites, sizes)]
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -256,16 +257,16 @@ def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteRepor
         try:
             os.close(read_fd)
             try:
-                message = ("report", suites[-1].run(sizes[-1]))
+                message = suites[-1].run(sizes[-1])
             except BaseException as exc:
-                message = ("error", exc)
+                message = exc
             try:
                 # an exception can pickle and still fail to unpickle, when its
                 # __init__ takes other arguments than its args
                 data = pickle.dumps(message)
                 pickle.loads(data)
             except Exception:
-                data = pickle.dumps(("error", RuntimeError(repr(message[1]))))
+                data = pickle.dumps(RuntimeError(repr(message)))
             with open(write_fd, "wb") as pipe:
                 pipe.write(data)
         finally:
@@ -287,8 +288,8 @@ def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteRepor
             f"the {suites[-1].name} suite's process ended without a report "
             f"(exit status {os.waitstatus_to_exitcode(status)})"
         )
-    kind, value = pickle.loads(data)
-    if kind == "error":
+    value = pickle.loads(data)
+    if isinstance(value, BaseException):
         raise value
     return reports + [value]
 

@@ -3,14 +3,15 @@
 Each suite sweeps a deterministic parameter range (lexicographic on doubled
 integers), compares public operations of the angular/prob modules against
 each other, and returns a structured report. The report layer performs no
-mathematics of its own. A passing case is only counted; its failure row
-(input, expected, actual) is formatted only when the check fails.
+mathematics of its own. A passing case yields None and is only counted; a
+failing one yields its failure row (input, expected, actual), which is
+formatted only when the check fails.
 
 Every suite is declared once, as a row of `SUITES`; adding a suite means one
-case generator, yielding (ok, row()) per case, one row, and one public
-runner `run_<name>`, listed in `__all__`. `_Suite.run` calls that runner by
-name, so that a tracer or a monkeypatch sees the call. The CLI builds its
-`--suite` choices and size flags from the rows.
+case generator, yielding None or a failure row per case, one row, and one
+public runner `run_<name>`, listed in `__all__`. `_Suite.run` calls that
+runner by name, so that a tracer or a monkeypatch sees the call. The CLI
+builds its `--suite` choices and size flags from the rows.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _agreement_cases(max_twice_ab: int) -> Iterator:
                             labels = CgLabels.from_twice(ta, tal, tb, tbe, tc, tg)
                             racah = angular.cg_racah(labels)
                             series = angular.cg_3f2(labels)
-                            yield racah == series, lambda: (
+                            yield None if racah == series else (
                                 f"a={HalfInt(ta)} alpha={HalfInt(tal)} b={HalfInt(tb)} "
                                 f"beta={HalfInt(tbe)} c={HalfInt(tc)} gamma={HalfInt(tg)}",
                                 str(racah), str(series),
@@ -104,7 +105,7 @@ def _degenerate_cases(max_l: int) -> Iterator:
                         and coefficient.radicand == ratio == conditional
                         and amplitude == coefficient
                     )
-                    yield ok, lambda: (
+                    yield None if ok else (
                         f"l1={l1} k1={k1} l2={l2} k2={k2}",
                         f"sign=+1 radicand={ratio}",
                         f"cg={coefficient} conditional={conditional} ladder={amplitude}",
@@ -120,7 +121,7 @@ def _distribution_cases(max_n3: int) -> Iterator:
                 pmf = [prob.hypergeom_pmf(params, x) for x in support]
                 scaled, common = prob._over_common_denominator(pmf)
                 total = sum(scaled)
-                yield total == common, lambda: (
+                yield None if total == common else (
                     f"n1={n1} n2={n2} n3={n3} pmf-sum", "1", str(Fraction(total, common))
                 )
                 # each moment is a numerator over a known denominator, and
@@ -129,7 +130,7 @@ def _distribution_cases(max_n3: int) -> Iterator:
                     expected_mean = prob.hypergeom_mean(params)
                     a, b = expected_mean._numerator, expected_mean._denominator
                     mean = sum(x * s for x, s in zip(support, scaled))
-                    yield mean * b == a * common, lambda: (
+                    yield None if mean * b == a * common else (
                         f"n1={n1} n2={n2} n3={n3} mean",
                         str(expected_mean), str(Fraction(mean, common)),
                     )
@@ -138,9 +139,9 @@ def _distribution_cases(max_n3: int) -> Iterator:
                     # E[X(X-1)] + mean - mean^2 with mean = a/b, over common * b^2
                     variance = fact2 * b * b + (a * b - a * a) * common
                     expected_variance = prob.hypergeom_variance(params)
-                    yield variance * expected_variance._denominator == (
+                    yield None if variance * expected_variance._denominator == (
                         expected_variance._numerator * common * b * b
-                    ), lambda: (
+                    ) else (
                         f"n1={n1} n2={n2} n3={n3} variance",
                         str(expected_variance), str(Fraction(variance, common * b * b)),
                     )
@@ -149,7 +150,7 @@ def _distribution_cases(max_n3: int) -> Iterator:
                 # starts at 0
                 if n3 - n1 - n2 + 1 >= 1:
                     value = prob.hypergeom_pgf(params, 1)
-                    yield value == 1, lambda: (f"n1={n1} n2={n2} n3={n3} pgf(1)", "1", str(value))
+                    yield None if value == 1 else (f"n1={n1} n2={n2} n3={n3} pgf(1)", "1", str(value))
     max_trials = min(_MAX_TRIALS, max_n3)
     for trials1 in range(max_trials + 1):
         for trials2 in range(max_trials + 1):
@@ -158,10 +159,10 @@ def _distribution_cases(max_n3: int) -> Iterator:
                     prob.BinomialParams(trials1, p), prob.BinomialParams(trials2, p)
                 )
                 merged = prob.BinomialParams(trials1 + trials2, p)
-                yield all(q == prob.binomial_pmf(merged, k) for k, q in table.entries), lambda: (
+                equal = all(q == prob.binomial_pmf(merged, k) for k, q in table.entries)
+                yield None if equal else (
                     f"convolve trials1={trials1} trials2={trials2} p={p}",
-                    "binomial pmf with summed trials",
-                    "pointwise mismatch",
+                    "binomial pmf with summed trials", "pointwise mismatch",
                 )
 
 
@@ -170,7 +171,7 @@ class _Suite(NamedTuple):
     param: str
     default: int
     least: int
-    cases: Callable[[int], Iterator[tuple[bool, Callable[[], tuple[str, str, str]]]]]
+    cases: Callable[[int], Iterator[tuple[str, str, str] | None]]
     ranges: Callable[[int], str]
 
     def checked(self, size: int) -> int:
@@ -188,12 +189,12 @@ class _Suite(NamedTuple):
         self.checked(size)
         cases = failure_count = 0
         failures: list[Failure] = []
-        for ok, row in self.cases(size):
+        for row in self.cases(size):
             cases += 1
-            if not ok:
+            if row is not None:
                 failure_count += 1
                 if len(failures) < _FAILURE_CAP:
-                    failures.append(Failure(*row()))
+                    failures.append(Failure(*row))
         failures.sort(key=lambda f: f.input)
         return SuiteReport(self.name, self.ranges(size), cases, failure_count, failures)
 

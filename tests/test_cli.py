@@ -607,6 +607,28 @@ class TestVerifyCommand:
         assert captured.err == "cgexact: boom\n"
         assert json.loads(captured.out)["detail"] == "boom"
 
+    def test_a_single_suite_runs_in_process(self, capsys, monkeypatch):
+        _, every, _ = run_json(capsys, "verify", "--suite", "all", *SMALL_SIZES)
+
+        def fork():
+            raise AssertionError("a single suite forked a child")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        for name, row in zip(verify.SUITES, every["suites"]):
+            code, record, _ = run_json(capsys, "verify", "--suite", name, *SMALL_SIZES)
+            assert code == 0
+            assert record["suites"] == [row]
+
+        def boom(size):
+            raise ArithmeticError("boom")
+
+        monkeypatch.setattr(verify, "run_degenerate_identity", boom)
+        code = main(["verify", "--suite", "degenerate", *SMALL_SIZES, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "cgexact: boom\n"
+        assert json.loads(captured.out)["detail"] == "boom"
+
     @needs_fork
     def test_child_that_ends_without_a_report_raises(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "run_distribution_identities", lambda size: os._exit(3))

@@ -88,6 +88,23 @@ def test_every_suite_row_has_its_public_runner():
         assert row.run(row.least).to_dict() == row.report(row.least).to_dict()
 
 
+def test_cases_yield_none_or_their_failure_row(monkeypatch):
+    # a passing case yields None, not a closure over its loop variables, and
+    # a failing one yields its row of three strings, built only then
+    for row in verify.SUITES.values():
+        consts = row.cases.__code__.co_consts
+        assert not [c for c in consts if inspect.iscode(c) and c.co_name == "<lambda>"], row.name
+        assert all(item is None for item in row.cases(row.least)), row.name
+    fault, _, size, cases, failure_count, *_ = GOLDEN_FAULTS["agreement"]
+    fault(monkeypatch)
+    items = list(verify.SUITES["agreement"].cases(size))
+    failing = [item for item in items if item is not None]
+    assert (len(items), len(failing)) == (cases, failure_count)
+    for item in failing:
+        assert type(item) is tuple and len(item) == 3, item
+        assert all(type(field) is str for field in item), item
+
+
 def test_backend_agreement_fault_injection(monkeypatch):
     # negation of zero is zero, so only genuinely nonzero cases disagree
     monkeypatch.setattr(angular, "cg_3f2", lambda labels: -angular.cg_racah(labels))
