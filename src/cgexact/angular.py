@@ -87,18 +87,11 @@ class HalfInt:
         return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
 
 
-# HalfInt(t) for every |t| <= _HALF_MAX, built once: labels and ladder rows
-# of that size share these instances instead of building their own. 513
-# entries, about 50 kB.
+# HalfInt(t) for every |t| <= _HALF_MAX, built once: labels of that size
+# share these instances instead of building their own. 513 entries, about
+# 50 kB.
 _HALF_MAX = 256
 _HALVES = tuple(map(HalfInt, range(-_HALF_MAX, _HALF_MAX + 1)))
-
-
-def _half(twice: int) -> HalfInt:
-    """HalfInt(twice), from the shared table when |twice| <= _HALF_MAX."""
-    if -_HALF_MAX <= twice <= _HALF_MAX:
-        return _HALVES[twice + _HALF_MAX]
-    return HalfInt(twice)
 
 
 @dataclass(frozen=True)
@@ -204,12 +197,13 @@ class DegenerateLabels:
 
 @dataclass(frozen=True)
 class ProductStateVector:
-    """Amplitudes over the product basis |a m1> (x) |b m2>, keyed by (m1, m2)."""
+    """Amplitudes over the product basis |a m1> (x) |b m2>, keyed by the ints
+    (2m1, 2m2); `amplitude` takes m1 and m2 as HalfInts."""
 
-    entries: dict[tuple[HalfInt, HalfInt], SignedSqrtRational]
+    entries: dict[tuple[int, int], SignedSqrtRational]
 
     def amplitude(self, m1: HalfInt, m2: HalfInt) -> SignedSqrtRational:
-        return self.entries.get((m1, m2), _ZERO)
+        return self.entries.get((m1.twice, m2.twice), _ZERO)
 
     def norm_squared(self) -> Fraction:
         """Exact squared norm; signs square away, so this is a radicand sum."""
@@ -405,8 +399,6 @@ def _lowering_states(ta: int, tb: int, first: int) -> Iterator[ProductStateVecto
     every sign is +1. Only the rows yielded are normalised.
     """
     r1, r2 = _lowering_radicals(ta), _lowering_radicals(tb)
-    m1s = [_half(t) for t in range(ta, -ta - 1, -2)]  # spin 1 lowered 0, 1, ... times
-    m2s = [_half(t) for t in range(tb, -tb - 1, -2)]
     lo, counts = 0, [1]
     for s in range(ta + tb + 1):
         if s:
@@ -420,7 +412,7 @@ def _lowering_states(ta: int, tb: int, first: int) -> Iterator[ProductStateVecto
         norm2 = sum(squares)
         yield ProductStateVector(
             {
-                (m1s[s - j], m2s[j]): _trusted(1, _fraction(q, norm2))
+                (ta - 2 * (s - j), tb - 2 * j): _trusted(1, _fraction(q, norm2))
                 for j, q in enumerate(squares, lo)
             }
         )

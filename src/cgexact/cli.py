@@ -469,9 +469,5 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -383,7 +383,11 @@ class SignedSqrtRational:
         if self.sign == 0:
             return "0"
         prefix = "-" if self.sign < 0 else "+"
-        return f"{prefix}sqrt({self.radicand})"
+        # str(Fraction) raises past the int-to-str digit limit; "/1" is left
+        # out as Fraction leaves it out
+        num, den = self.radicand.numerator, self.radicand.denominator
+        body = _digit_string(num) if den == 1 else f"{_digit_string(num)}/{_digit_string(den)}"
+        return f"{prefix}sqrt({body})"
 
 
 def _trusted(sign: int, radicand: Fraction) -> SignedSqrtRational:

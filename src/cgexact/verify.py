@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import angular, prob
-from .angular import CgLabels, DegenerateLabels, HalfInt, _half
+from .angular import CgLabels, DegenerateLabels, HalfInt
+from .exact import SignedSqrtRational
 
 __all__ = [
     "SUITES",
@@ -90,6 +91,7 @@ def _agreement_cases(max_twice_ab: int) -> Iterator:
 
 def _degenerate_cases(max_l: int) -> Iterator:
     one_third = Fraction(1, 3)
+    zero = SignedSqrtRational.zero()
     for l1 in range(max_l + 1):
         for l2 in range(max_l + 1):
             for steps, vector in enumerate(angular.cg_ladder_rows(HalfInt(l1), HalfInt(l2))):
@@ -99,7 +101,7 @@ def _degenerate_cases(max_l: int) -> Iterator:
                     coefficient = angular.cg_racah(labels.to_cg_labels())
                     ratio = angular.cg_degenerate_squared(labels)
                     conditional = prob.conditional_probability(labels, one_third)
-                    amplitude = vector.amplitude(_half(l1 - 2 * k1), _half(l2 - 2 * k2))
+                    amplitude = vector.entries.get((l1 - 2 * k1, l2 - 2 * k2), zero)
                     ok = (
                         coefficient.sign == 1
                         and coefficient.radicand == ratio == conditional

@@ -77,7 +77,7 @@ def test_criterion_3_ladder_oracle_equivalence():
                 vector = cg_ladder_stretched(spin1, spin2, steps)
                 tg = ta + tb - 2 * steps
                 for (m1, m2), amplitude in vector.entries.items():
-                    labels = CgLabels.from_twice(ta, m1.twice, tb, m2.twice, ta + tb, tg)
+                    labels = CgLabels.from_twice(ta, m1, tb, m2, ta + tb, tg)
                     assert amplitude == cg_racah(labels)
                     cases += 1
     _report(3, f"ladder amplitudes equal cg_racah on {cases} entries (exact)")

@@ -145,10 +145,11 @@ class TestLeanLabels:
         assert len(angular._HALVES) == 2 * top + 1
         for twice, half in zip(range(-top, top + 1), angular._HALVES):
             assert half == HalfInt(twice) and repr(half) == repr(HalfInt(twice))
-            assert angular._half(twice) is half
+            assert CgLabels.from_twice(abs(twice), twice, 0, 0, abs(twice), twice).alpha is half
         for twice in (-top - 1, top + 1, 10**6):
-            assert repr(angular._half(twice)) == repr(HalfInt(twice))
-        assert CgLabels.from_twice(1, -1, 0, 0, 1, -1).alpha is angular._half(-1)
+            labels = CgLabels.from_twice(abs(twice), twice, 0, 0, abs(twice), twice)
+            assert repr(labels.alpha) == repr(HalfInt(twice))
+        assert CgLabels.from_twice(1, -1, 0, 0, 1, -1).alpha is angular._HALVES[top - 1]
 
 
 class TestDegenerateLabels:
@@ -385,15 +386,11 @@ class TestLadder:
 
     def test_top_state(self):
         vector = cg_ladder_stretched(HalfInt(3), HalfInt(4), 0)
-        assert vector.entries == {
-            (HalfInt(3), HalfInt(4)): SignedSqrtRational(1, Fraction(1))
-        }
+        assert vector.entries == {(3, 4): SignedSqrtRational(1, Fraction(1))}
 
     def test_bottom_state_is_a_single_product_state(self):
         vector = cg_ladder_stretched(HalfInt(2), HalfInt(1), 3)
-        assert vector.entries == {
-            (HalfInt(-2), HalfInt(-1)): SignedSqrtRational(1, Fraction(1))
-        }
+        assert vector.entries == {(-2, -1): SignedSqrtRational(1, Fraction(1))}
 
     def test_steps_out_of_range(self):
         with pytest.raises(StepsOutOfRangeError):
@@ -442,16 +439,14 @@ class TestLadder:
         for steps, row in enumerate(cg_ladder_rows(a, b)):
             assert row == cg_ladder_stretched(a, b, steps)
             k2s = range(max(0, steps - ta), min(tb, steps) + 1)
-            assert set(row.entries) == {
-                (HalfInt(ta - 2 * (steps - k2)), HalfInt(tb - 2 * k2)) for k2 in k2s
-            }
+            assert set(row.entries) == {(ta - 2 * (steps - k2), tb - 2 * k2) for k2 in k2s}
             for (m1, m2), amplitude in row.entries.items():
-                labels = DegenerateLabels(ta, (ta - m1.twice) // 2, tb, (tb - m2.twice) // 2)
+                labels = DegenerateLabels(ta, (ta - m1) // 2, tb, (tb - m2) // 2)
                 assert amplitude.sign == 1
                 assert amplitude.radicand == cg_degenerate_squared(labels)
             m1, m2 = list(row.entries)[len(row.entries) // 2]
-            labels = CgLabels.from_twice(ta, m1.twice, tb, m2.twice, ta + tb, m1.twice + m2.twice)
-            assert row.amplitude(m1, m2) == cg_racah(labels)
+            labels = CgLabels.from_twice(ta, m1, tb, m2, ta + tb, m1 + m2)
+            assert row.amplitude(HalfInt(m1), HalfInt(m2)) == cg_racah(labels)
 
 
 class TestCgTo3jm:
@@ -528,7 +523,7 @@ def test_ladder_amplitudes_match_racah_backend():
                 vector = cg_ladder_stretched(HalfInt(ta), HalfInt(tb), steps)
                 tg = ta + tb - 2 * steps
                 for (m1, m2), amplitude in vector.entries.items():
-                    labels = CgLabels.from_twice(ta, m1.twice, tb, m2.twice, ta + tb, tg)
+                    labels = CgLabels.from_twice(ta, m1, tb, m2, ta + tb, tg)
                     assert amplitude == cg_racah(labels)
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -859,3 +860,21 @@ def test_bytes_pinned(capsys, monkeypatch, argv, fmt, digest):
         code = exc.code
     captured = capsys.readouterr()
     assert _bytes_digest(code, captured.out, captured.err) == digest
+
+
+def test_module_entry_point_exits_with_mains_code(capsys):
+    # `python -m cgexact.cli` passes main's return value to sys.exit
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["cg", "1/2", "1/2", "1/2", "1/2", "1", "1", "--backend", "ladder"]
+    child = subprocess.run(
+        [sys.executable, "-m", "cgexact.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0
+    assert child.stdout == run_cli(capsys, *argv)[1]
+    child = subprocess.run(
+        [sys.executable, "-m", "cgexact.cli", "verify", "--max-n3", "1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 2
+    assert "max_n3 must be >= 2, got 1" in child.stderr

@@ -415,6 +415,19 @@ class TestSignedSqrtRational:
             with pytest.raises(ValueError, match=f"nonnegative, got {shown}$"):
                 SignedSqrtRational.from_scaled_sqrt(1, bad)
 
+    def test_str_past_int_str_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        digits = "1" + "0" * 4999 + "1"  # 10**5000 + 1, coprime to 3
+        radicand = Fraction(10**5000 + 1, 3)
+        assert str(SignedSqrtRational(1, radicand)) == f"+sqrt({digits}/3)"
+        assert str(SignedSqrtRational(-1, radicand)) == f"-sqrt({digits}/3)"
+        assert str(SignedSqrtRational(1, 10**5000 + 1)) == f"+sqrt({digits})"
+        assert sys.get_int_max_str_digits() == limit
+        # below the limit the string is str(Fraction)'s, "/1" left out
+        assert str(SignedSqrtRational(-1, Fraction(9, 2))) == "-sqrt(9/2)"
+        assert str(SignedSqrtRational(1, 4)) == "+sqrt(4)"
+        assert str(SignedSqrtRational.zero()) == "0"
+
     def test_algebra(self):
         a = SignedSqrtRational(1, Fraction(1, 2))
         b = SignedSqrtRational(-1, Fraction(2, 3))

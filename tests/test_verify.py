@@ -392,6 +392,24 @@ def test_off_by_one_lowering_factor_is_caught(monkeypatch, capsys):
     assert record["backends"]["ladder"]["exact"]["radicand"] == {"num": "3", "den": "4"}
 
 
+def test_a_row_without_a_key_fails_with_ladder_zero(monkeypatch):
+    # the degenerate suite reads each (2m1, 2m2) key of the row; one that is
+    # missing reads as 0, so each row fails once, at the key it lost
+    real = angular.cg_ladder_rows
+
+    def without_first_key(a, b):
+        for vector in real(a, b):
+            yield angular.ProductStateVector(dict(list(vector.entries.items())[1:]))
+
+    monkeypatch.setattr(angular, "cg_ladder_rows", without_first_key)
+    report = run_degenerate_identity(2)
+    assert (report.cases_run, report.failure_count) == (36, 27)
+    assert all(f.actual.endswith(" ladder=0") for f in report.failures)
+    assert (report.failures[0].input, report.failures[0].actual) == (
+        "l1=0 k1=0 l2=0 k2=0", "cg=+sqrt(1) conditional=1 ladder=0"
+    )
+
+
 def test_reflected_mean_fails_exactly_the_mean_cases(monkeypatch):
     # the variance leg reads hypergeom_mean too, but E[X(X-1)] + m - m^2 is
     # unchanged by m -> 1 - m, so only the mean leg fails, on every law whose
