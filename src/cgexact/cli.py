@@ -122,6 +122,8 @@ def _record(command: str, value: object, digits: int, detail: str = "", **fields
 
 
 def _pretty_exact(exact: dict | None) -> str:
+    """The text form of an exact field: a rational as `str(Fraction)` writes
+    it, a signed root as `str(SignedSqrtRational)` does."""
     if exact is None:
         return "(no exact value)"
     if "rational" in exact:
@@ -130,8 +132,8 @@ def _pretty_exact(exact: dict | None) -> str:
     sign = exact["sign"]
     if sign == 0:
         return "0"
-    num, den = exact["radicand"]["num"], exact["radicand"]["den"]
-    return f"{'-' if sign < 0 else '+'}sqrt({num}/{den})"
+    radicand = _pretty_exact({"rational": exact["radicand"]})
+    return f"{'-' if sign < 0 else '+'}sqrt({radicand})"
 
 
 def _ladder_value(labels: CgLabels) -> SignedSqrtRational:
@@ -239,15 +241,14 @@ def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteRepor
     `os.fork`, run in this process one after another.
 
     The child calls the same `suite.run`, so a monkeypatched runner or
-    backend is inherited, and pickles its SuiteReport, or the exception its
-    suite raised, down a pipe; an exception that does not pickle goes as a
-    RuntimeError with its repr. It always leaves through `os._exit`, so it
-    never flushes the stdio or the `--output` file it inherited and runs no
-    exit handlers. Here the child's exception is raised as if its suite had
-    run in this process, and a child that ends without a report raises
-    RuntimeError naming its suite and exit status. If a suite run here raises
-    (KeyboardInterrupt included), the child is killed and reaped before the
-    exception propagates, so no child outlives the call.
+    backend is inherited, and pickles its SuiteReport down a pipe. It always
+    leaves through `os._exit`, so it never flushes the stdio or the
+    `--output` file it inherited and runs no exit handlers. A child that
+    sends no report, because its suite raised or it was killed, has its
+    suite run again here: every error is raised by a suite run in this
+    process, as without a fork. If a suite run here raises (KeyboardInterrupt
+    included), the child is killed and reaped before the exception
+    propagates, so no child outlives the call.
     """
     if len(suites) < 2 or not hasattr(os, "fork"):
         return [suite.run(size) for suite, size in zip(suites, sizes)]
@@ -256,17 +257,7 @@ def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteRepor
     if pid == 0:
         try:
             os.close(read_fd)
-            try:
-                message = suites[-1].run(sizes[-1])
-            except BaseException as exc:
-                message = exc
-            try:
-                # an exception can pickle and still fail to unpickle, when its
-                # __init__ takes other arguments than its args
-                data = pickle.dumps(message)
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps(RuntimeError(repr(message)))
+            data = pickle.dumps(suites[-1].run(sizes[-1]))
             with open(write_fd, "wb") as pipe:
                 pipe.write(data)
         finally:
@@ -282,23 +273,15 @@ def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteRepor
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             raise
-    _, status = os.waitpid(pid, 0)
-    if not data:
-        raise RuntimeError(
-            f"the {suites[-1].name} suite's process ended without a report "
-            f"(exit status {os.waitstatus_to_exitcode(status)})"
-        )
-    value = pickle.loads(data)
-    if isinstance(value, BaseException):
-        raise value
-    return reports + [value]
+    os.waitpid(pid, 0)
+    return reports + [pickle.loads(data) if data else suites[-1].run(sizes[-1])]
 
 
 def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
-    """The selected suites' report. A suite that raises ValueError or
-    ArithmeticError, in this process or in the child `_run_suites` forks,
-    is a usage error (exit 2) with the same message either way; any other
-    exception propagates from `main`."""
+    """The selected suites' report. Every suite error is raised by a suite
+    run in this process, since `_run_suites` runs again here a forked suite
+    that sent no report. One that raises ValueError or ArithmeticError is a
+    usage error (exit 2); any other exception propagates from `main`."""
     suites = [s for name, s in verify_suites.SUITES.items() if args.suite in (name, "all")]
     sizes = [suite.checked(getattr(args, suite.param)) for suite in suites]
     # the report path is opened before any suite runs, so a path that cannot
