@@ -8,6 +8,7 @@ coefficient is a SignedSqrtRational, so agreement checks are exact.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -344,11 +345,7 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
     )
     # The selection rules put k0 at or below the cutoff min(p, am, bp).
     k0 = max(0, 1 - b1, 1 - b2)
-    first_num = (
-        (factorial(p) // factorial(p - k0))
-        * (factorial(am) // factorial(am - k0))
-        * (factorial(bp) // factorial(bp - k0))
-    )
+    first_num = math.perm(p, k0) * math.perm(am, k0) * math.perm(bp, k0)
     first_den = factorial(k0) * factorial(b1 + k0 - 1) * factorial(b2 + k0 - 1) * factorial(p)
     coeff = _terminating_sum(
         (-p, -am, -bp), (b1, b2), 1, k0, min(p, am, bp),

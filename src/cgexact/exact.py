@@ -423,12 +423,15 @@ def _render(num: int, den: int, digits: int, negative: bool, root: bool) -> str:
     """x = num/den (num, den > 0), or sqrt(num/den) when `root` is set, to
     `digits` significant digits, half-even, with a leading "-" if `negative`.
 
-    One divmod (or one isqrt and a divmod) gives q = floor(x 10**e), where e
-    comes from a lower bound on x's magnitude that is at most two low, so q
-    carries one to three digits past `digits`. Only q, of about `digits`
-    digits, is then rounded. For a root, a tie is a tie only when the root
-    is exact and divides, so ties are resolved correctly even for perfect
-    squares.
+    One divmod gives q = floor(x 10**e), where e comes from a lower bound on
+    x's magnitude that is at most two low, so q carries one to three digits
+    past `digits`. A root scales the radicand by 10**(2e) instead, and q is
+    then the isqrt of the divmod's quotient y, of about 2(digits + 3)
+    digits: floor(sqrt(floor(y))) = floor(sqrt(y)) for every real y >= 0,
+    as k*k <= y exactly when k*k <= floor(y) for an integer k. Only q, of
+    about `digits` digits, is then rounded. A tie is a tie only when the
+    scaled value is exact: the remainder is 0 and, for a root, q*q is the
+    quotient, since sqrt(y) is an integer only when y is an integer square.
     """
     # 2**(b-1) < num/den < 2**(b+1) for b the bit-length difference, and the
     # constant is log10(2) rounded down to 10 digits, so mag is at most 2
@@ -436,26 +439,20 @@ def _render(num: int, den: int, digits: int, negative: bool, root: bool) -> str:
     # a billion bits. Bit lengths have no digit limit.
     mag = (num.bit_length() - den.bit_length() - 1) * 3010299956 // 10**10
     if root:
-        # sqrt(v) has magnitude (M + 1) // 2 when v has magnitude M; the
-        # scale goes inside the root squared, or divides outside it
+        # sqrt(v) has magnitude (M + 1) // 2 when v has magnitude M
         mag = (mag + 1) // 2
-        e = digits - mag + 1
-        big = num * den
-        if e >= 0:
-            big *= _POW10[2 * e] if e < 32 else 10 ** (2 * e)
-        else:
-            den *= _POW10[-e] if e > -64 else 10**-e
-        num = math.isqrt(big)
-        q, r = divmod(num, den)
-        inexact = r != 0 or num * num != big
+    e = digits - mag + 1
+    s = 2 * e if root else e
+    if s >= 0:
+        num *= _POW10[s] if s < 64 else 10**s
     else:
-        e = digits - mag + 1
-        if e >= 0:
-            num *= _POW10[e] if e < 64 else 10**e
-        else:
-            den *= _POW10[-e] if e > -64 else 10**-e
-        q, r = divmod(num, den)
-        inexact = r != 0
+        den *= _POW10[-s] if s > -64 else 10**-s
+    q, r = divmod(num, den)
+    inexact = r != 0
+    if root:
+        y = q
+        q = math.isqrt(y)
+        inexact = inexact or q * q != y
     # half-even over the one to three guard digits
     top = _POW10[digits] if digits < 64 else 10**digits
     unit = 10

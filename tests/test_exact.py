@@ -597,6 +597,32 @@ def test_sqrt_to_decimal_past_int_str_digit_limit():
         assert Decimal(rendered) == sign * exact_radicand.sqrt(_ROUNDED)
 
 
+def test_sqrt_to_decimal_takes_isqrt_of_a_quotient_of_about_twice_the_digits(monkeypatch):
+    # the root is the isqrt of the scaled quotient, not of the radicand's
+    # num * den product: every isqrt argument stays near 2(digits + 3) digits
+    # however long the radicand is
+    rng = random.Random(2402)
+    num = rng.getrandbits(10_000) | 1 << 9_999
+    den = rng.getrandbits(10_000) | 1 << 9_999
+    value = SignedSqrtRational(-1, Fraction(num, den))
+    isqrt = math.isqrt
+    arguments = []
+
+    def recorded(n):
+        arguments.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(math, "isqrt", recorded)
+    rendered = {}
+    for digits in (1, 15, 30, 100):
+        arguments.clear()
+        rendered[digits] = sqrt_to_decimal(value, digits)
+        assert arguments and all(n < 10 ** (2 * digits + 8) for n in arguments), digits
+    monkeypatch.undo()
+    for digits, text in rendered.items():
+        assert text == _reference_sqrt_to_decimal(value, digits), digits
+
+
 def _rounded_sqrt(radicand: Fraction, digits: int) -> Decimal:
     """sqrt(radicand) to `digits` digits, half-even, from one integer isqrt:
     the magnitude by exact comparison, then floor and tie decided on exact
@@ -736,7 +762,9 @@ class _FractionSubclass(Fraction):
 def _render_cases(rng: random.Random):
     """(value, digits) pairs: the scale exponent e = digits - mag + 1 on both
     sides of the power table's +-64 edge (+-32 for a root's squared scale),
-    digits 1-100 across 10**64, operands past 4300 digits, near-ties, zero,
+    digits 1-100 across 10**64, operands past 4300 digits, radicands of
+    20,000-40,000 bits below 10**-200 and above 10**200 (so a root's scale
+    is positive on one side and negative on the other), near-ties, zero,
     negative values, ints and a Fraction subclass."""
     for _ in range(2000):
         digits = rng.choice((rng.randint(1, 100), rng.randint(60, 68)))
@@ -759,6 +787,12 @@ def _render_cases(rng: random.Random):
         yield Fraction(num, den), rng.randint(1, 100)
         yield Fraction(num, rng.randrange(1, 10**20)), rng.randint(1, 100)
         yield Fraction(rng.randrange(1, 10**20), den), rng.randint(1, 100)
+    for i in range(10):
+        bits = rng.randint(10_000, 19_000)
+        gap = rng.randint(700, 2_000)
+        big = rng.getrandbits(bits + gap) | 1 << (bits + gap - 1)
+        small = rng.getrandbits(bits) | 1 << (bits - 1)
+        yield (Fraction(big, small) if i % 2 else Fraction(small, big)), rng.randint(1, 100)
     yield Fraction(0), 15
 
 
