@@ -186,13 +186,9 @@ class DegenerateLabels:
         return self.k1 + self.k2
 
     def to_cg_labels(self) -> CgLabels:
+        l1, l2, k1, k2 = self.l1, self.l2, self.k1, self.k2
         return CgLabels.from_twice(
-            self.l1,
-            self.l1 - 2 * self.k1,
-            self.l2,
-            self.l2 - 2 * self.k2,
-            self.l,
-            self.l - 2 * self.k,
+            l1, l1 - 2 * k1, l2, l2 - 2 * k2, l1 + l2, l1 + l2 - 2 * (k1 + k2)
         )
 
 

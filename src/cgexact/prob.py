@@ -10,6 +10,7 @@ the exact pmf, never a parallel implementation.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from decimal import (
@@ -84,7 +85,7 @@ class SupportTooSmallError(ValueError):
 _PMF_STEP_MIN_N3 = 96
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HypergeomParams:
     """Draw n2 items from n3 of which n1 are marked; X counts marked draws.
 
@@ -108,6 +109,13 @@ class HypergeomParams:
     # set them per law
     _normaliser = None
     _pmf = None
+
+    def __init__(self, n1: int, n2: int, n3: int) -> None:
+        # the three fields go into the instance dict in one update, past the
+        # frozen dataclass's per-field __setattr__, which made construction
+        # about a third slower
+        self.__dict__.update(n1=n1, n2=n2, n3=n3)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not 0 <= self.n1 <= self.n3:
@@ -157,7 +165,9 @@ class BinomialParams:
             object.__setattr__(self, "p", Fraction(self.p))
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
-        if not 0 <= self.p <= 1:
+        # p is a Fraction by now, so 0 <= p <= 1 is read off its slots
+        # without Fraction's comparison, which cost half the construction
+        if not 0 <= self.p._numerator <= self.p._denominator:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
@@ -165,11 +175,13 @@ def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
     """The numerators of `values` over their least common denominator, and
     that denominator. The lcm is folded pairwise, since an argument tuple
     unpacked into math.lcm stays on CPython's per-length tuple free list once
-    freed, until a full collection. Every value is a Fraction, so its slots
-    are read in place of its properties."""
+    freed, until a full collection, and skipped where the denominator
+    already divides it. Every value is a Fraction, so its slots are read in
+    place of its properties."""
     common = 1
     for q in values:
-        common = math.lcm(common, q._denominator)
+        if common % q._denominator:
+            common = math.lcm(common, q._denominator)
     return [q._numerator * (common // q._denominator) for q in values], common
 
 
@@ -182,12 +194,13 @@ class PmfTable:
     def __post_init__(self) -> None:
         entries = self.entries
         # a tuple of (int, Fraction) pairs, as binomial_convolve builds, is
-        # kept as it is; anything else is converted entry by entry
+        # kept as it is; anything else is converted entry by entry, and an
+        # outcome that is not an integer (1.7, or 1.0) is rejected, not cut
         if type(entries) is not tuple or not all(
             type(e) is tuple and len(e) == 2 and type(e[0]) is int and type(e[1]) is Fraction
             for e in entries
         ):
-            entries = tuple((int(x), Fraction(q)) for x, q in entries)
+            entries = tuple((operator.index(x), Fraction(q)) for x, q in entries)
             object.__setattr__(self, "entries", entries)
         # every entry is a Fraction by now
         if any(q._numerator < 0 for _, q in entries):
@@ -217,38 +230,44 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
       `exact._binomial_quotient_from_primes` finds them faster, is built in
       lowest terms from the primes' exponent sums, with no big-integer gcd
       or division and without the normaliser.
-    - Literal quotient. Every other x, and every x below that crossover:
-      the two binomials over the law's normaliser, reduced by one gcd.
+    - Literal quotient. Every other x, over the law's normaliser, and
+      every x below that crossover, over C(n3, n2) taken afresh: the two
+      binomials over it, reduced by one gcd.
     `_pmf` is replaced as one tuple, so a concurrent reader sees a
     consistent (x, q), and the next point up walks from it whatever route
     built it.
     """
     n1, n2, n3 = params.n1, params.n2, params.n3
+    if n3 < _PMF_STEP_MIN_N3:
+        # rows this short take math.comb, as `binomial` does, and C(n3, n2)
+        # costs less afresh than the law's stored normaliser; x outside
+        # [0, n2] is outside the support. The normaliser is positive, so one
+        # gcd reduces the quotient with no sign to move.
+        num = math.comb(n1, x) * math.comb(n3 - n1, n2 - x) if 0 <= x <= n2 else 0
+        den = math.comb(n3, n2)
+        g = math.gcd(num, den)
+        return _reduced(num // g, den // g)
     q = None
-    if n3 >= _PMF_STEP_MIN_N3:
-        last = params._pmf
-        if last is not None and last[0] == x - 1:
-            q = last[1]
-            a = (n1 - x + 1) * (n2 - x + 1)
-            b = x * (n3 - n1 - n2 + x)
-            g = math.gcd(a, b)
-            if g != 1:
-                a //= g
-                b //= g
-            num, den = q._numerator, q._denominator
-            g1 = math.gcd(num, b)
-            g2 = math.gcd(a, den)
-            num = num // g1 * (a // g2)
-            q = _reduced(num, den // g2 * (b // g1))
-        elif max(0, n1 + n2 - n3) <= x <= min(n1, n2):
-            q = _binomial_quotient_from_primes(n1, x, n3 - n1, n2 - x)
+    last = params._pmf
+    if last is not None and last[0] == x - 1:
+        q = last[1]
+        a = (n1 - x + 1) * (n2 - x + 1)
+        b = x * (n3 - n1 - n2 + x)
+        g = math.gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
+        num, den = q._numerator, q._denominator
+        g1 = math.gcd(num, b)
+        g2 = math.gcd(a, den)
+        num = num // g1 * (a // g2)
+        q = _reduced(num, den // g2 * (b // g1))
+    elif max(0, n1 + n2 - n3) <= x <= min(n1, n2):
+        q = _binomial_quotient_from_primes(n1, x, n3 - n1, n2 - x)
     if q is None:
-        # read directly once built: every point of a small law reads it, and
-        # a method call per point made their pmf tables about 4% slower
+        # read directly once built, as every point of the law may read it
         normaliser = params._normaliser or params._normaliser_value()
         q = _fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), normaliser)
-        if n3 < _PMF_STEP_MIN_N3:
-            return q
     if q._numerator:
         object.__setattr__(params, "_pmf", (x, q))
     return q
@@ -367,8 +386,10 @@ def _pmf_numerator(trials: int, p: Fraction, r: int) -> int:
     This is the pmf at r times v^trials: every value of one binomial law
     shares that denominator, so callers work on these integers and build
     one Fraction per result. At p = 0 and p = 1 the empty power 0**0 is 1.
+    Every caller passes p as a Fraction, so its slots are read in place of
+    its properties.
     """
-    u, v = p.numerator, p.denominator
+    u, v = p._numerator, p._denominator
     return binomial(trials, r) * u**r * (v - u) ** (trials - r)
 
 
@@ -377,7 +398,7 @@ def binomial_pmf(params: BinomialParams, r: int) -> Fraction:
     if r < 0 or r > params.trials:
         return Fraction(0)
     trials, p = params.trials, params.p
-    return _fraction(_pmf_numerator(trials, p, r), p.denominator**trials)
+    return _fraction(_pmf_numerator(trials, p, r), p._denominator**trials)
 
 
 def binomial_convolve(a: BinomialParams, b: BinomialParams) -> PmfTable:
@@ -456,7 +477,7 @@ def binomial_limit_tv(
     |C(n1,x) C(n3-n1,n2-x) v^n2 - _pmf_numerator(n2,p,x) C(n3,n2)|, over the
     common denominator 2 C(n3,n2) v^n2.
     """
-    p = _rational(p)
+    p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     scale = p.denominator**n2

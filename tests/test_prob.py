@@ -231,6 +231,12 @@ class TestPmfTable:
             assert all(type(x) is int and type(q) is Fraction for x, q in table.entries)
         assert PmfTable(((4, 1),)).entries == ((4, Fraction(1)),)
 
+    def test_non_integral_outcomes_are_rejected_not_truncated(self):
+        # int() would read 1.7 as outcome 1 and build a valid-looking table
+        for outcome in (1.7, 1.0, Fraction(3, 2), "1"):
+            with pytest.raises(TypeError):
+                PmfTable([(0, HALF), (outcome, HALF)])
+
     def test_negative_probability_message_on_both_paths(self):
         for entries in (
             ((0, Fraction(3, 2)), (1, Fraction(-1, 2))),

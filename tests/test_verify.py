@@ -444,6 +444,27 @@ def test_reflected_mean_fails_exactly_the_mean_cases(monkeypatch):
     assert report.failure_count == sum(2 * n1 * n2 != n3 for n1, n2, n3 in laws)
 
 
+def test_a_fault_in_one_split_fails_that_split_alone(monkeypatch):
+    # the merged law is one reference for every split of its trials; the
+    # (2, 1) table with outcomes 0 and 1 swapped still sums to 1, and only
+    # its own comparison may see it, not the (1, 2) or (3, 0) split's
+    real = prob.binomial_convolve
+
+    def swapped(a, b):
+        table = real(a, b)
+        if (a.trials, b.trials) != (2, 1):
+            return table
+        (k0, q0), (k1, q1), *rest = table.entries
+        return prob.PmfTable(((k0, q1), (k1, q0), *rest))
+
+    monkeypatch.setattr(prob, "binomial_convolve", swapped)
+    report = run_distribution_identities(4)
+    assert (report.cases_run, report.failure_count) == (269, 3)
+    assert [f.input for f in report.failures] == [
+        f"convolve trials1=2 trials2=1 p={p}" for p in ("1/2", "1/3", "3/10")
+    ]
+
+
 def test_default_cli_verify_stdout_is_pinned(capsys):
     assert main(["verify", "--format", "json"]) == 0
     out = capsys.readouterr().out
