@@ -89,14 +89,11 @@ _PMF_STEP_MIN_N3 = 96
 class HypergeomParams:
     """Draw n2 items from n3 of which n1 are marked; X counts marked draws.
 
-    Outside the dataclass fields, a law keeps what its pmf calls build, so
-    eq, hash, repr, `replace` and `astuple` see only (n1, n2, n3), and a
-    pickled law equals the original:
-    - `_normaliser`, the pmf normaliser C(n3, n2), built on the first call
-      to `_normaliser_value`; a pmf point built from prime exponents never
-      reads it, so constructing a law builds no binomial;
-    - from n3 = _PMF_STEP_MIN_N3 on, `_pmf`, the last pmf value (x, q) it
-      served, already in lowest terms, so the next point up steps from it.
+    Outside the dataclass fields a law keeps one thing, so eq, hash, repr,
+    `replace` and `astuple` see only (n1, n2, n3), and a pickled law equals
+    the original: from n3 = _PMF_STEP_MIN_N3 on, `_pmf`, the last pmf value
+    (x, q) it served, already in lowest terms, so the next point up steps
+    from it. Every call that needs the normaliser C(n3, n2) builds it.
     Sums over the whole support step by the 2F1 term ratio within one call
     and store nothing: the binomial-limit distance its numerators, through
     `_numerators`, and the mgf its decimal weights.
@@ -105,9 +102,7 @@ class HypergeomParams:
     n1: int
     n2: int
     n3: int
-    # no annotations, so not fields; _normaliser_value and hypergeom_pmf
-    # set them per law
-    _normaliser = None
+    # no annotation, so not a field; hypergeom_pmf sets it per law
     _pmf = None
 
     def __init__(self, n1: int, n2: int, n3: int) -> None:
@@ -125,14 +120,6 @@ class HypergeomParams:
 
     def support(self) -> range:
         return range(max(0, self.n1 + self.n2 - self.n3), min(self.n1, self.n2) + 1)
-
-    def _normaliser_value(self) -> int:
-        """C(n3, n2), built on first use and kept as `_normaliser`."""
-        normaliser = self._normaliser
-        if normaliser is None:
-            normaliser = binomial(self.n3, self.n2)
-            object.__setattr__(self, "_normaliser", normaliser)
-        return normaliser
 
     def _numerator(self, x: int) -> int:
         """C(n1,x) C(n3-n1,n2-x), the pmf at x times the normaliser."""
@@ -230,19 +217,20 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
       `exact._binomial_quotient_from_primes` finds them faster, is built in
       lowest terms from the primes' exponent sums, with no big-integer gcd
       or division and without the normaliser.
-    - Literal quotient. Every other x, over the law's normaliser, and
-      every x below that crossover, over C(n3, n2) taken afresh: the two
-      binomials over it, reduced by one gcd.
-    `_pmf` is replaced as one tuple, so a concurrent reader sees a
-    consistent (x, q), and the next point up walks from it whatever route
-    built it.
+    - Literal quotient. Every other x, and every x below that crossover:
+      the law's numerator over C(n3, n2), both taken afresh, reduced by
+      one gcd.
+    `_pmf` is the only state the pmf stores on a law. It is replaced as one
+    tuple, so a concurrent reader sees a consistent (x, q), and the next
+    point up walks from it whatever route built it.
     """
     n1, n2, n3 = params.n1, params.n2, params.n3
     if n3 < _PMF_STEP_MIN_N3:
-        # rows this short take math.comb, as `binomial` does, and C(n3, n2)
-        # costs less afresh than the law's stored normaliser; x outside
-        # [0, n2] is outside the support. The normaliser is positive, so one
-        # gcd reduces the quotient with no sign to move.
+        # rows this short take math.comb inline, as `binomial` does, and
+        # leave `_pmf`, the law's only stored state, unset, since no point
+        # below the walk's crossover reads it; x outside [0, n2] is outside
+        # the support. The normaliser is positive, so one gcd reduces the
+        # quotient with no sign to move.
         num = math.comb(n1, x) * math.comb(n3 - n1, n2 - x) if 0 <= x <= n2 else 0
         den = math.comb(n3, n2)
         g = math.gcd(num, den)
@@ -265,11 +253,11 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
     elif max(0, n1 + n2 - n3) <= x <= min(n1, n2):
         q = _binomial_quotient_from_primes(n1, x, n3 - n1, n2 - x)
     if q is None:
-        # read directly once built, as every point of the law may read it
-        normaliser = params._normaliser or params._normaliser_value()
-        q = _fraction(binomial(n1, x) * binomial(n3 - n1, n2 - x), normaliser)
+        q = _fraction(params._numerator(x), binomial(n3, n2))
     if q._numerator:
-        object.__setattr__(params, "_pmf", (x, q))
+        # stored past the frozen dataclass's __setattr__, as __init__ stores
+        # the fields
+        params.__dict__["_pmf"] = (x, q)
     return q
 
 
@@ -287,7 +275,7 @@ def hypergeom_pgf(params: HypergeomParams, t: Fraction | int) -> Fraction:
     n1, n2, n3 = params.n1, params.n2, params.n3
     x0 = max(0, n1 + n2 - n3)
     first_num = params._numerator(x0) * t.numerator**x0
-    first_den = params._normaliser_value() * t.denominator**x0
+    first_den = binomial(n3, n2) * t.denominator**x0
     return _terminating_sum(
         (-n1, -n2), (n3 - n1 - n2 + 1,), t, x0, min(n1, n2), first_num, first_den
     )
@@ -337,7 +325,7 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
     )
     weights = Context(prec=prec, Emin=MIN_EMIN, **fixed)
     with localcontext(Context(prec=prec, **fixed)) as ctx:
-        weight = weights.divide(Decimal(params._numerator(x0)), params._normaliser_value())
+        weight = weights.divide(Decimal(params._numerator(x0)), binomial(n3, n2))
         total = Decimal(0)
         x = x0
         try:
@@ -494,7 +482,7 @@ def binomial_limit_tv(
                 f"n2 = {n2} exceeds min(n1, n3 - n1) = {min(n1, n3 - n1)} at n3 = {n3}"
             )
         law = HypergeomParams(n1, n2, n3)
-        normaliser = law._normaliser_value()
+        normaliser = binomial(n3, n2)
         total = sum(
             abs(num * scale - binomial_num * normaliser)
             for num, binomial_num in zip(law._numerators(), binomial_nums)

@@ -155,33 +155,9 @@ class TestParams:
         assert list(HypergeomParams(5, 2, 10).support()) == [0, 1, 2]
         assert list(HypergeomParams(9, 8, 10).support()) == [7, 8]
 
-    def test_normaliser_is_not_a_field(self):
-        # the normaliser is built on first use and kept outside the fields:
-        # a law that holds it and one that does not are the same law
-        params = HypergeomParams(5, 2, 10)
-        assert params._normaliser is None
-        unread = pickle.loads(pickle.dumps(params))
-        assert params._normaliser_value() == math.comb(10, 2)
-        assert params._normaliser == math.comb(10, 2)
-        assert [f.name for f in dataclasses.fields(params)] == ["n1", "n2", "n3"]
-        assert repr(params) == "HypergeomParams(n1=5, n2=2, n3=10)"
-        assert params == HypergeomParams(5, 2, 10) == unread
-        assert hash(params) == hash(HypergeomParams(5, 2, 10)) == hash(unread)
-        assert params != HypergeomParams(5, 3, 10)
-        assert dataclasses.astuple(params) == (5, 2, 10)
-        replaced = dataclasses.replace(params, n2=3)
-        assert replaced == HypergeomParams(5, 3, 10)
-        assert replaced._normaliser is None
-        assert replaced._normaliser_value() == math.comb(10, 3)
-        restored = pickle.loads(pickle.dumps(params))
-        assert restored == params and restored._normaliser == params._normaliser
-        assert unread._normaliser is None and unread._normaliser_value() == math.comb(10, 2)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            params._normaliser = 1
-
     def test_construction_builds_no_binomial(self, monkeypatch):
-        # a point on the prime route never reads C(n3, n2), so a law does
-        # not build it until something does
+        # neither a law nor a point on the prime route builds C(n3, n2); the
+        # pgf, the mgf and a literal-route point each build it once a call
         calls = []
         real = prob.binomial
 
@@ -191,13 +167,22 @@ class TestParams:
 
         monkeypatch.setattr(prob, "binomial", counted)
         law = HypergeomParams(20000, 10000, 40000)
-        assert calls == [] and law._normaliser is None
         hypergeom_pmf(law, 5000)
-        assert calls == [] and law._normaliser is None
-        assert law._normaliser_value() == math.comb(40000, 10000)
-        assert calls == [(40000, 10000)]
-        law._normaliser_value()
-        assert calls == [(40000, 10000)]
+        assert calls == []
+        law = HypergeomParams(600, 200, 1000)
+        for _ in range(2):
+            hypergeom_pgf(law, THIRD)
+            assert calls.count((1000, 200)) == 1
+            calls.clear()
+            hypergeom_mgf(law, "0.1", 20)
+            assert calls.count((1000, 200)) == 1
+            calls.clear()
+            # off the walk and past the prime route, a point is the literal
+            # quotient
+            assert exact._binomial_quotient_from_primes(600, 120, 400, 80) is None
+            hypergeom_pmf(HypergeomParams(600, 200, 1000), 120)
+            assert calls == [(600, 120), (400, 80), (1000, 200)]
+            calls.clear()
 
 
 class TestPmfTable:
@@ -392,21 +377,35 @@ class TestNumeratorWalk:
             sys.setswitchinterval(interval)
 
     def test_walk_state_is_not_a_field(self):
-        # the pmf walks its own state
+        # the pmf walks its own state, kept outside the fields: a law that
+        # holds it and one that does not are the same law
         law = HypergeomParams(200, 50, 400)
         for x in range(40):
             hypergeom_pmf(law, x)
         assert law._pmf[0] == 39
+        assert vars(law) == {**dataclasses.asdict(law), "_pmf": law._pmf}
+        # below the walk's crossover a law stores nothing
+        small = HypergeomParams(50, 20, 95)
+        for x in range(21):
+            hypergeom_pmf(small, x)
+        assert vars(small) == dataclasses.asdict(small)
         fresh = HypergeomParams(200, 50, 400)
         assert law == fresh and hash(law) == hash(fresh) and repr(law) == repr(fresh)
+        assert repr(law) == "HypergeomParams(n1=200, n2=50, n3=400)"
+        assert law != HypergeomParams(200, 51, 400)
         replaced = dataclasses.replace(law)
         assert replaced == law and replaced._pmf is None
+        assert dataclasses.replace(law, n2=51) == HypergeomParams(200, 51, 400)
         assert dataclasses.astuple(law) == (200, 50, 400)
         assert [f.name for f in dataclasses.fields(law)] == ["n1", "n2", "n3"]
+        restored = pickle.loads(pickle.dumps(law))
+        assert restored == law == fresh and hash(restored) == hash(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            law._pmf = None
 
     def test_sums_over_the_support_store_no_numerators(self, monkeypatch):
         # the mgf, the pgf and the binomial-limit distance leave a law
-        # holding its fields, its normaliser and nothing else
+        # holding its fields and nothing else
         laws = []
 
         class Recorded(HypergeomParams):
@@ -421,8 +420,7 @@ class TestNumeratorWalk:
         binomial_limit_tv(HALF, 20, [400, 1600])
         assert len(laws) == 3
         for law in laws:
-            want = {**dataclasses.asdict(law), "_normaliser": math.comb(law.n3, law.n2)}
-            assert vars(law) == want, law
+            assert vars(law) == dataclasses.asdict(law), law
 
 
 def _fields(q: Fraction) -> tuple[int, int]:
@@ -597,11 +595,10 @@ class TestPmfPrimeRoute:
                 q = hypergeom_pmf(law, x)
                 _assert_literal_fields(q, n1, n2, n3, x, normaliser)
                 assert math.gcd(*_fields(q)) == 1
-            assert law._normaliser is None
 
     def test_threads_sharing_one_law(self):
-        # prime-route points, walked points and the lazy normaliser, all on
-        # one law shared by threads that switch every microsecond
+        # prime-route points and walked points, all on one law shared by
+        # threads that switch every microsecond
         n1, n2, n3 = 2000, 1000, 4000
         law = HypergeomParams(n1, n2, n3)
         normaliser = math.comb(n3, n2)
@@ -611,7 +608,7 @@ class TestPmfPrimeRoute:
         def serve(offset: int) -> bool:
             order = xs[offset:] + xs[:offset]
             return all(
-                _fields(hypergeom_pmf(law, x)) == expected[x] and law._normaliser_value() == normaliser
+                _fields(hypergeom_pmf(law, x)) == expected[x]
                 for _ in range(3)
                 for x in order
             )
