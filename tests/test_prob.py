@@ -155,6 +155,31 @@ class TestParams:
         assert list(HypergeomParams(5, 2, 10).support()) == [0, 1, 2]
         assert list(HypergeomParams(9, 8, 10).support()) == [7, 8]
 
+    def test_normaliser_is_not_a_field(self):
+        # C(n3, n2) is built by each call that needs it and kept nowhere: a
+        # law read by the pmf, the pgf and the mgf holds its fields alone
+        params = HypergeomParams(5, 2, 10)
+        unread = pickle.loads(pickle.dumps(params))
+        assert hypergeom_pmf(params, 1) == Fraction(math.comb(5, 1) * math.comb(5, 1), math.comb(10, 2))
+        assert hypergeom_pgf(params, 1) == 1
+        hypergeom_mgf(params, "0.1", 20)
+        assert vars(params) == dataclasses.asdict(params) == {"n1": 5, "n2": 2, "n3": 10}
+        assert not hasattr(params, "_normaliser") and not hasattr(params, "_normaliser_value")
+        assert [f.name for f in dataclasses.fields(params)] == ["n1", "n2", "n3"]
+        assert repr(params) == "HypergeomParams(n1=5, n2=2, n3=10)"
+        assert params == HypergeomParams(5, 2, 10) == unread
+        assert hash(params) == hash(HypergeomParams(5, 2, 10)) == hash(unread)
+        assert params != HypergeomParams(5, 3, 10)
+        assert dataclasses.astuple(params) == (5, 2, 10)
+        replaced = dataclasses.replace(params, n2=3)
+        assert replaced == HypergeomParams(5, 3, 10)
+        assert hypergeom_pgf(replaced, 1) == 1
+        assert vars(replaced) == dataclasses.asdict(replaced)
+        restored = pickle.loads(pickle.dumps(params))
+        assert restored == params and vars(restored) == vars(params)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params._normaliser = 1
+
     def test_construction_builds_no_binomial(self, monkeypatch):
         # neither a law nor a point on the prime route builds C(n3, n2); the
         # pgf, the mgf and a literal-route point each build it once a call
