@@ -180,31 +180,32 @@ def _carry_ranges(n: int, k: int, primes: list[int], start: int, stop: int) -> t
     )
 
 
-def _binomial_quotient_from_primes(l1: int, k1: int, l2: int, k2: int) -> Fraction | None:
-    """C(l1, k1) C(l2, k2) / C(l1 + l2, k1 + k2) in lowest terms, for
-    0 <= k1 <= l1 and 0 <= k2 <= l2, when it is faster from prime exponents;
-    None when the literal quotient is faster. For j = min(k, l - k) of the
-    bottom binomial C(l, k), that is from j = _QUOTIENT_PRIME_MIN_K + l // 32
-    on rows up to 2**16, and where C(l, k) itself takes its prime path
-    (`_prime_path`) on longer rows.
-
-    Each prime's exponent is summed over the three binomials as in
-    `_binomial_from_primes`: the Legendre sums up to sqrt(l1 + l2), which
-    bounds every row, and the `_carry_ranges` of each binomial above it.
-    Positive totals go to the numerator and negative ones to the
-    denominator. The two share no prime, so the quotient is built in lowest
-    terms without any big-integer gcd or division; Johansson and Forssen
-    (SIAM J. Sci. Comput. 38 (2016) A376) keep factorial quotients as prime
-    exponents for the same reason.
+def _binomial_quotient(l1: int, k1: int, l2: int, k2: int) -> Fraction:
+    """C(l1, k1) C(l2, k2) / C(l1 + l2, k1 + k2) in lowest terms, for every
+    0 <= k1 <= l1 and 0 <= k2 <= l2, by whichever of two branches is faster
+    there; only this function chooses between them. For j = min(k, l - k)
+    of the bottom binomial C(l, k):
+    - Prime exponents, from j = _QUOTIENT_PRIME_MIN_K + l // 32 on rows up
+      to 2**16, and where C(l, k) itself takes its prime path
+      (`_prime_path`) on longer rows. Each prime's exponent is summed over
+      the three binomials as in `_binomial_from_primes`: the Legendre sums
+      up to sqrt(l1 + l2), which bounds every row, and the `_carry_ranges`
+      of each binomial above it. Positive totals go to the numerator and
+      negative ones to the denominator. The two share no prime, so the
+      quotient is built in lowest terms without any big-integer gcd or
+      division; Johansson and Forssen (SIAM J. Sci. Comput. 38 (2016) A376)
+      keep factorial quotients as prime exponents for the same reason.
+    - Literal quotient, below that: the three `binomial`s, reduced by one
+      gcd.
     """
     l, k = l1 + l2, k1 + k2
     m1, m2, m = l1 - k1, l2 - k2, l - k
     j = min(k, m)
-    if l <= _PRIMES_MAX_CACHED and j < _QUOTIENT_PRIME_MIN_K + (l >> 5):
-        return None
-    primes = _prime_path(l, j)
+    primes = None
+    if l > _PRIMES_MAX_CACHED or j >= _QUOTIENT_PRIME_MIN_K + (l >> 5):
+        primes = _prime_path(l, j)
     if primes is None:
-        return None
+        return _fraction(binomial(l1, k1) * binomial(l2, k2), binomial(l, k))
     small = bisect_right(primes, math.isqrt(l))
     num, den = [], []
     for p in primes[:small]:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .angular import DegenerateLabels
 from .exact import (
-    _binomial_quotient_from_primes,
+    _binomial_quotient,
     _fraction,
     _rational,
     _reduced,
@@ -204,22 +204,18 @@ class PmfTable:
 def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
     """C(n1,x) C(n3-n1,n2-x) / C(n3,n2); zero outside the support.
 
-    Each value takes one of three routes, and every route returns the
-    fields of Fraction(C(n1,x) C(n3-n1,n2-x), C(n3,n2)):
-    - Walk. From n3 = _PMF_STEP_MIN_N3 on, right after a nonzero value
-      q = N/D at x - 1 the next one is q a/b, the 2F1 term ratio at t = 1
-      with a = (n1-x+1)(n2-x+1) and b = x (n3-n1-n2+x) > 0. With a/b
-      reduced first and g1 = gcd(N, b), g2 = gcd(a, D), the result
-      (N/g1)(a/g2) / ((D/g2)(b/g1)) is in lowest terms because
-      gcd(N, D) = gcd(a, b) = 1: two gcds with a small operand replace one
-      gcd of two big integers.
-    - Prime exponents. Any other x in the support of such a law, where
-      `exact._binomial_quotient_from_primes` finds them faster, is built in
-      lowest terms from the primes' exponent sums, with no big-integer gcd
-      or division and without the normaliser.
-    - Literal quotient. Every other x, and every x below that crossover:
-      the law's numerator over C(n3, n2), both taken afresh, reduced by
-      one gcd.
+    Every value holds the fields of Fraction(C(n1,x) C(n3-n1,n2-x),
+    C(n3,n2)). From n3 = _PMF_STEP_MIN_N3 on, an x outside the support is 0
+    before any route runs; any other x takes one of two routes:
+    - Walk. Right after the value q = N/D at x - 1 the next one is q a/b,
+      the 2F1 term ratio at t = 1 with a = (n1-x+1)(n2-x+1) and
+      b = x (n3-n1-n2+x) > 0. With a/b reduced first and g1 = gcd(N, b),
+      g2 = gcd(a, D), the result (N/g1)(a/g2) / ((D/g2)(b/g1)) is in lowest
+      terms because gcd(N, D) = gcd(a, b) = 1: two gcds with a small operand
+      replace one gcd of two big integers.
+    - Quotient. Every other x is one `exact._binomial_quotient` call, which
+      builds it from prime exponents from its measured rule on and as the
+      literal quotient below it.
     `_pmf` is the only state the pmf stores on a law. It is replaced as one
     tuple, so a concurrent reader sees a consistent (x, q), and the next
     point up walks from it whatever route built it.
@@ -235,7 +231,10 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
         den = math.comb(n3, n2)
         g = math.gcd(num, den)
         return _reduced(num // g, den // g)
-    q = None
+    # the support max(0, n1+n2-n3) <= x <= min(n1, n2) as four plain
+    # comparisons: max and min would cost each walked point about 0.3 us more
+    if not (0 <= x <= n1 and n1 + n2 - n3 <= x <= n2):
+        return Fraction(0)
     last = params._pmf
     if last is not None and last[0] == x - 1:
         q = last[1]
@@ -250,14 +249,11 @@ def hypergeom_pmf(params: HypergeomParams, x: int) -> Fraction:
         g2 = math.gcd(a, den)
         num = num // g1 * (a // g2)
         q = _reduced(num, den // g2 * (b // g1))
-    elif max(0, n1 + n2 - n3) <= x <= min(n1, n2):
-        q = _binomial_quotient_from_primes(n1, x, n3 - n1, n2 - x)
-    if q is None:
-        q = _fraction(params._numerator(x), binomial(n3, n2))
-    if q._numerator:
-        # stored past the frozen dataclass's __setattr__, as __init__ stores
-        # the fields
-        params.__dict__["_pmf"] = (x, q)
+    else:
+        q = _binomial_quotient(n1, x, n3 - n1, n2 - x)
+    # stored past the frozen dataclass's __setattr__, as __init__ stores the
+    # fields
+    params.__dict__["_pmf"] = (x, q)
     return q
 
 

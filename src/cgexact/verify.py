@@ -153,7 +153,7 @@ def _distribution_cases(max_n3: int) -> Iterator:
                 # the pgf covers every law, but this case count is part of
                 # the default report, so pgf(1) stays on laws whose support
                 # starts at 0
-                if n3 - n1 - n2 + 1 >= 1:
+                if support.start == 0:
                     value = prob.hypergeom_pgf(params, 1)
                     yield None if value == 1 else (f"n1={n1} n2={n2} n3={n3} pgf(1)", "1", str(value))
     max_trials = min(_MAX_TRIALS, max_n3)

@@ -846,6 +846,7 @@ PINNED_BYTES = [
     ("3jm 1 1 1 -1 0 junk", "2c749f08619cf447", "a06336cc50fa0d0e"),
     ("dist hypergeom-pmf --n1 5 --n2 2 --n3 10 --x 1", "4a07024c22604fae", "00bb3000e82b822d"),
     ("dist hypergeom-pmf --n1 11 --n2 2 --n3 10 --x 1", "6703ff9a45ae11a3", "3fb0bcef0bb49e28"),
+    ("dist hypergeom-pmf --n1 20000 --n2 10000 --n3 40000 --x 10001", "c9f0152da7337e0b", "2023d80fbcd9dfb4"),
     ("dist binomial-pmf --trials 3 --p 1/3 --r 2", "d5f158a492eacd1d", "e23e132cf5a555d3"),
     ("dist binomial-pmf --trials 3 --p 1/0 --r 2", "030226eb83401131", "a9a6735fd4ba0672"),
     ("dist pgf --n1 5 --n2 2 --n3 10 --t -1/2", "d3e3642666af5300", "2023d80fbcd9dfb4"),

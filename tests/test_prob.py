@@ -126,6 +126,20 @@ _MGF_TS = (
 )
 
 
+def _spy_binomials(monkeypatch) -> list[tuple[str, int, int]]:
+    """Record each binomial that `prob` or `exact` builds, as (module, n, k)."""
+    calls = []
+    for module in (prob, exact):
+        real = module.binomial
+
+        def counted(n, k, name=module.__name__, real=real):
+            calls.append((name, n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(module, "binomial", counted)
+    return calls
+
+
 class TestParams:
     def test_hypergeom_validation(self):
         with pytest.raises(ValueError):
@@ -181,32 +195,25 @@ class TestParams:
             params._normaliser = 1
 
     def test_construction_builds_no_binomial(self, monkeypatch):
-        # neither a law nor a point on the prime route builds C(n3, n2); the
-        # pgf, the mgf and a literal-route point each build it once a call
-        calls = []
-        real = prob.binomial
-
-        def counted(n, k):
-            calls.append((n, k))
-            return real(n, k)
-
-        monkeypatch.setattr(prob, "binomial", counted)
+        # neither a law nor a point on the prime route builds a binomial in
+        # `prob` or in `exact`; the pgf and the mgf each build C(n3, n2) once
+        # a call, and a literal-route point builds its three in `exact`
+        calls = _spy_binomials(monkeypatch)
         law = HypergeomParams(20000, 10000, 40000)
         hypergeom_pmf(law, 5000)
         assert calls == []
         law = HypergeomParams(600, 200, 1000)
         for _ in range(2):
             hypergeom_pgf(law, THIRD)
-            assert calls.count((1000, 200)) == 1
+            assert calls.count(("cgexact.prob", 1000, 200)) == 1
             calls.clear()
             hypergeom_mgf(law, "0.1", 20)
-            assert calls.count((1000, 200)) == 1
+            assert calls.count(("cgexact.prob", 1000, 200)) == 1
             calls.clear()
             # off the walk and past the prime route, a point is the literal
             # quotient
-            assert exact._binomial_quotient_from_primes(600, 120, 400, 80) is None
             hypergeom_pmf(HypergeomParams(600, 200, 1000), 120)
-            assert calls == [(600, 120), (400, 80), (1000, 200)]
+            assert calls == [("cgexact.exact", 600, 120), ("cgexact.exact", 400, 80), ("cgexact.exact", 1000, 200)]
             calls.clear()
 
 
@@ -580,16 +587,19 @@ class TestPmfPrimeRoute:
                 _assert_literal_fields(q, n1, n2, n3, x, normaliser)
 
     def test_taken_exactly_where_the_rule_says(self, monkeypatch):
+        # a quotient call takes the prime route when it builds no binomial
         calls = []
-        real = prob._binomial_quotient_from_primes
+        built = _spy_binomials(monkeypatch)
+        real = prob._binomial_quotient
 
         def counted(*args):
+            built.clear()
             q = real(*args)
-            if q is not None:
+            if not built:
                 calls.append(args)
             return q
 
-        monkeypatch.setattr(prob, "_binomial_quotient_from_primes", counted)
+        monkeypatch.setattr(prob, "_binomial_quotient", counted)
         for n1, n2, n3 in self._grid():
             law = HypergeomParams(n1, n2, n3)
             lo, hi = max(0, n1 + n2 - n3), min(n1, n2)
@@ -611,6 +621,35 @@ class TestPmfPrimeRoute:
             for x in HypergeomParams(n1, n2, n3).support():
                 hypergeom_pmf(HypergeomParams(n1, n2, n3), x)
         assert calls == []
+
+    def test_a_zero_takes_no_route(self, monkeypatch):
+        # on a walked law, a point outside the support is 0 before any route:
+        # it builds no binomial in `prob` or `exact`, asks no quotient and
+        # leaves the last stored point for the next one up to walk from
+        built = _spy_binomials(monkeypatch)
+        quotients = []
+        real = prob._binomial_quotient
+
+        def counted(*args):
+            quotients.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(prob, "_binomial_quotient", counted)
+        for n1, n2, n3 in ((20000, 10000, 40000), (600, 200, 1000), (65537, 3200, 70000)):
+            law = HypergeomParams(n1, n2, n3)
+            lo, hi = max(0, n1 + n2 - n3), min(n1, n2)
+            normaliser = math.comb(n3, n2)
+            for last in (hi, n1 * n2 // n3):
+                hypergeom_pmf(law, last)
+                stored = law._pmf
+                built.clear()
+                quotients.clear()
+                for x in (-1, lo - 1, hi + 1, n2 + 1):
+                    assert _fields(hypergeom_pmf(law, x)) == (0, 1), (law, x)
+                assert built == [] and quotients == [], law
+                assert law._pmf is stored, law
+            _assert_literal_fields(hypergeom_pmf(law, last + 1), n1, n2, n3, last + 1, normaliser)
+            assert quotients == [], law
 
     def test_walk_from_a_prime_route_point(self):
         for n1, n2, n3, x0 in ((18445, 10646, 39239, 5006), (74, 3709, 5705, 5), (65537, 3200, 70000, 2990)):
