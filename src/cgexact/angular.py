@@ -18,6 +18,7 @@ from operator import mul
 from .exact import (
     _ZERO,
     SignedSqrtRational,
+    _binomial_quotient,
     _fraction,
     _reduced,
     _reduced_product,
@@ -356,11 +357,11 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
 
 def cg_degenerate_squared(labels: DegenerateLabels) -> Fraction:
     """Squared stretched coefficient as the three-binomial ratio
-    C(l1,k1) C(l2,k2) / C(l,k)."""
-    return _fraction(
-        binomial(labels.l1, labels.k1) * binomial(labels.l2, labels.k2),
-        binomial(labels.l, labels.k),
-    )
+    C(l1,k1) C(l2,k2) / C(l,k), in lowest terms. The ratio is `exact`'s
+    quotient kernel, `_binomial_quotient`: the literal quotient of three
+    binomials below its rule, prime exponents from it on. The labels hold
+    the kernel's contract, 0 <= k1 <= l1 and 0 <= k2 <= l2."""
+    return _binomial_quotient(labels.l1, labels.k1, labels.l2, labels.k2)
 
 
 def _lowering_factor(tj: int, tm: int) -> int:

@@ -199,13 +199,14 @@ def _binomial_quotient(l1: int, k1: int, l2: int, k2: int) -> Fraction:
       gcd.
     """
     l, k = l1 + l2, k1 + k2
-    m1, m2, m = l1 - k1, l2 - k2, l - k
+    m = l - k
     j = min(k, m)
     primes = None
     if l > _PRIMES_MAX_CACHED or j >= _QUOTIENT_PRIME_MIN_K + (l >> 5):
         primes = _prime_path(l, j)
     if primes is None:
         return _fraction(binomial(l1, k1) * binomial(l2, k2), binomial(l, k))
+    m1, m2 = l1 - k1, l2 - k2
     small = bisect_right(primes, math.isqrt(l))
     num, den = [], []
     for p in primes[:small]:

@@ -106,17 +106,15 @@ class HypergeomParams:
     _pmf = None
 
     def __init__(self, n1: int, n2: int, n3: int) -> None:
-        # the three fields go into the instance dict in one update, past the
-        # frozen dataclass's per-field __setattr__, which made construction
-        # about a third slower
+        # `dataclasses.replace` builds through this constructor too, so every
+        # law is checked here; the three fields go into the instance dict in
+        # one update, past the frozen dataclass's per-field __setattr__,
+        # which made construction about a third slower
+        if not 0 <= n1 <= n3:
+            raise ValueError(f"need 0 <= n1 <= n3, got n1={n1}, n3={n3}")
+        if not 0 <= n2 <= n3:
+            raise ValueError(f"need 0 <= n2 <= n3, got n2={n2}, n3={n3}")
         self.__dict__.update(n1=n1, n2=n2, n3=n3)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n1 <= self.n3:
-            raise ValueError(f"need 0 <= n1 <= n3, got n1={self.n1}, n3={self.n3}")
-        if not 0 <= self.n2 <= self.n3:
-            raise ValueError(f"need 0 <= n2 <= n3, got n2={self.n2}, n3={self.n3}")
 
     def support(self) -> range:
         return range(max(0, self.n1 + self.n2 - self.n3), min(self.n1, self.n2) + 1)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgexact import angular
+from cgexact import angular, exact
 from cgexact.angular import (
     CgLabels,
     DegenerateLabels,
@@ -363,11 +363,31 @@ def test_cg_racah_sums_the_public_zsum(monkeypatch):
     assert calls == [1]
 
 
-def test_cg_degenerate_squared_examples():
+def test_cg_degenerate_squared_examples(monkeypatch):
+    # the ratio is exact's quotient kernel, which builds its own binomials:
+    # angular's `binomial` is never called for it
+    calls = []
+    real = angular.binomial
+    monkeypatch.setattr(angular, "binomial", lambda n, k: calls.append((n, k)) or real(n, k))
     assert cg_degenerate_squared(DegenerateLabels(2, 1, 2, 1)) == Fraction(2, 3)
     for l1, l2 in ((3, 5), (0, 0), (7, 2)):
         assert cg_degenerate_squared(DegenerateLabels(l1, 0, l2, 0)) == 1
     assert cg_degenerate_squared(DegenerateLabels(1, 1, 1, 0)) == Fraction(1, 2)
+    # the kernel's rows on both sides of its prime rule, as in
+    # tests/test_exact.py: the fields are the reduced literal quotient's
+    for l in (2200, 40000, 65536, 65537, 70000):
+        if l <= exact._PRIMES_MAX_CACHED:
+            j = exact._QUOTIENT_PRIME_MIN_K + l // 32
+        else:
+            j = exact._PRIME_MIN_K_SIEVED + l // 64
+        l1 = l * 2 // 5
+        l2 = l - l1
+        for k in (j - 1, j, l - j + 1, l - j):
+            k1 = min(l1, k * 2 // 5)
+            q = cg_degenerate_squared(DegenerateLabels(l1, k1, l2, k - k1))
+            want = Fraction(math.comb(l1, k1) * math.comb(l2, k - k1), math.comb(l, k))
+            assert (q.numerator, q.denominator) == (want.numerator, want.denominator), (l, k)
+    assert calls == []
 
 
 class TestLadder:

@@ -148,6 +148,9 @@ class TestParams:
             HypergeomParams(1, 3, 2)
         with pytest.raises(ValueError):
             HypergeomParams(-1, 0, 2)
+        # replace goes through the one constructor, so it validates too
+        with pytest.raises(ValueError):
+            dataclasses.replace(HypergeomParams(1, 1, 2), n2=-1)
 
     def test_binomial_validation(self):
         with pytest.raises(ValueError):
@@ -441,8 +444,8 @@ class TestNumeratorWalk:
         laws = []
 
         class Recorded(HypergeomParams):
-            def __post_init__(self):
-                super().__post_init__()
+            def __init__(self, n1, n2, n3):
+                super().__init__(n1, n2, n3)
                 laws.append(self)
 
         monkeypatch.setattr(prob, "HypergeomParams", Recorded)

@@ -126,6 +126,21 @@ def test_degenerate_identity_fault_injection(monkeypatch):
     assert not report.passed
 
 
+def test_a_skewed_quotient_kernel_fails_its_one_degenerate_case(monkeypatch):
+    # the ratio is exact's quotient kernel as angular calls it; doubled at
+    # one (l1, k1, l2, k2), the suite fails that case and no other
+    real = angular._binomial_quotient
+
+    def skewed(l1, k1, l2, k2):
+        q = real(l1, k1, l2, k2)
+        return q * 2 if (l1, k1, l2, k2) == (7, 3, 5, 2) else q
+
+    monkeypatch.setattr(angular, "_binomial_quotient", skewed)
+    report = run_degenerate_identity(10)
+    assert (report.cases_run, report.failure_count) == (4356, 1)
+    assert [f.input for f in report.failures] == ["l1=7 k1=3 l2=5 k2=2"]
+
+
 def test_distribution_identities_fault_injection(monkeypatch):
     real = prob.hypergeom_variance
 
