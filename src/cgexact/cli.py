@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import json
 import os
-import pickle
 import re
 import sys
 from decimal import Decimal
@@ -234,30 +233,31 @@ def _cmd_limit(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
     return [_record(command, tv, args.digits, n3=n3) for n3, tv in results], EXIT_OK
 
 
-def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteReport]:
-    """Each suite's report, in the order given: of two or more suites, the
-    last runs in a forked child while this process runs the others, since no
-    suite reads what another computes. A single suite, or any suites without
-    `os.fork`, run in this process one after another.
+def _run_suites(suites: list, sizes: list[int]) -> list[dict]:
+    """Each suite's record, `suite.run(size).to_dict()`, in the order given:
+    of two or more suites, the last runs in a forked child while this
+    process runs the others, since no suite reads what another computes. A
+    single suite, or any suites without `os.fork`, run in this process one
+    after another.
 
     The child calls the same `suite.run`, so a monkeypatched runner or
-    backend is inherited, and pickles its SuiteReport down a pipe. It always
-    leaves through `os._exit`, so it never flushes the stdio or the
-    `--output` file it inherited and runs no exit handlers. A child that
-    sends no report, because its suite raised or it was killed, has its
-    suite run again here: every error is raised by a suite run in this
-    process, as without a fork. If a suite run here raises (KeyboardInterrupt
-    included), the child is killed and reaped before the exception
-    propagates, so no child outlives the call.
+    backend is inherited, and writes its suite's record down a pipe as the
+    JSON it is printed as. It always leaves through `os._exit`, so it never
+    flushes the stdio or the `--output` file it inherited and runs no exit
+    handlers. A child that sends no record, because its suite raised or it
+    was killed, has its suite run again here: every error is raised by a
+    suite run in this process, as without a fork. If a suite run here raises
+    (KeyboardInterrupt included), the child is killed and reaped before the
+    exception propagates, so no child outlives the call.
     """
     if len(suites) < 2 or not hasattr(os, "fork"):
-        return [suite.run(size) for suite, size in zip(suites, sizes)]
+        return [suite.run(size).to_dict() for suite, size in zip(suites, sizes)]
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read_fd)
-            data = pickle.dumps(suites[-1].run(sizes[-1]))
+            data = json.dumps(suites[-1].run(sizes[-1]).to_dict()).encode()
             with open(write_fd, "wb") as pipe:
                 pipe.write(data)
         finally:
@@ -265,7 +265,7 @@ def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteRepor
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         try:
-            reports = [suite.run(size) for suite, size in zip(suites[:-1], sizes[:-1])]
+            records = [suite.run(size).to_dict() for suite, size in zip(suites[:-1], sizes[:-1])]
             data = pipe.read()
         except BaseException:
             import signal  # only this path needs it
@@ -274,13 +274,13 @@ def _run_suites(suites: list, sizes: list[int]) -> list[verify_suites.SuiteRepor
             os.waitpid(pid, 0)
             raise
     os.waitpid(pid, 0)
-    return reports + [pickle.loads(data) if data else suites[-1].run(sizes[-1])]
+    return records + [json.loads(data) if data else suites[-1].run(sizes[-1]).to_dict()]
 
 
 def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
     """The selected suites' report. Every suite error is raised by a suite
     run in this process, since `_run_suites` runs again here a forked suite
-    that sent no report. One that raises ValueError or ArithmeticError is a
+    that sent no record. One that raises ValueError or ArithmeticError is a
     usage error (exit 2); any other exception propagates from `main`."""
     suites = [s for name, s in verify_suites.SUITES.items() if args.suite in (name, "all")]
     sizes = [suite.checked(getattr(args, suite.param)) for suite in suites]
@@ -291,13 +291,13 @@ def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]
     except OSError as exc:
         raise ValueError(f"cannot write the report to {args.output!r}: {exc.strerror}") from None
     with output or contextlib.nullcontext():
-        reports = _run_suites(suites, sizes)
-        all_passed = all(r.passed for r in reports)
+        records = _run_suites(suites, sizes)
+        all_passed = all(r["passed"] for r in records)
         record = {
             "command": _echo(argv),
             "status": "ok" if all_passed else "error",
             "passed": all_passed,
-            "suites": [r.to_dict() for r in reports],
+            "suites": records,
             "detail": "" if all_passed else "one or more suites reported failures",
         }
         if output:

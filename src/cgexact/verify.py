@@ -263,9 +263,7 @@ def run_distribution_identities(max_n3: int) -> SuiteReport:
     built once per (trials, p).
 
     `cgexact verify` runs this suite in its forked child. At the defaults
-    the child's report arrives about 3 ms after the parent's agreement and
-    degenerate suites end (medians of 132.6 and 129.8 ms from `main`'s
-    start over 20 fresh processes, 2-core VM, Python 3.11), so this suite
-    still sets the command's wall time, by that margin.
+    the child's record arrives a few ms after the parent's agreement and
+    degenerate suites end, so this suite still sets the command's wall time.
     """
     return SUITES["distributions"].report(max_n3)

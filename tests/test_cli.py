@@ -510,7 +510,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the forked run 
 
 
 class _TwoArgumentError(Exception):
-    # pickles, but its one arg does not unpickle through __init__
+    # an error that cannot be rebuilt from its args through __init__
     def __init__(self, first: str, second: str) -> None:
         super().__init__(first + second)
 
@@ -670,8 +670,8 @@ class TestVerifyCommand:
     @needs_fork
     @pytest.mark.parametrize("unpicklable", ["local class", "two-argument __init__"])
     def test_child_error_is_raised_as_in_process(self, capsys, monkeypatch, unpicklable):
-        # neither error survives a pickle round trip; the object itself is
-        # raised, by the parent's own run of the suite
+        # no error crosses the pipe: the parent's own run of the suite
+        # raises the very object
         class Local(Exception):
             pass
 
@@ -706,6 +706,24 @@ class TestVerifyCommand:
         else:
             main(argv)
         _assert_no_child()
+
+    @needs_fork
+    def test_forked_run_imports_no_pickle(self):
+        # a fresh interpreter, so that no other test's import is counted; the
+        # child's record crosses the pipe as the JSON that stdout prints
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import sys\n"
+            "from cgexact import cli\n"
+            f"code = cli.main(['verify', *{SMALL_SIZES!r}, '--format', 'json'])\n"
+            "print(code, 'pickle' in sys.modules, file=sys.stderr)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert child.stderr == "0 False\n"
+        assert json.loads(child.stdout)["passed"] is True
 
     @needs_fork
     @pytest.mark.parametrize("fmt", ["json", "text"])
