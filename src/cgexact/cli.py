@@ -234,7 +234,7 @@ def _cmd_limit(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
 
 
 def _run_suites(suites: list, sizes: list[int]) -> list[dict]:
-    """Each suite's record, `suite.run(size).to_dict()`, in the order given:
+    """Each suite's record, as `suite.run(size)` returns it, in the order given:
     of two or more suites, the last runs in a forked child while this
     process runs the others, since no suite reads what another computes. A
     single suite, or any suites without `os.fork`, run in this process one
@@ -251,13 +251,13 @@ def _run_suites(suites: list, sizes: list[int]) -> list[dict]:
     exception propagates, so no child outlives the call.
     """
     if len(suites) < 2 or not hasattr(os, "fork"):
-        return [suite.run(size).to_dict() for suite, size in zip(suites, sizes)]
+        return [suite.run(size) for suite, size in zip(suites, sizes)]
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
             os.close(read_fd)
-            data = json.dumps(suites[-1].run(sizes[-1]).to_dict()).encode()
+            data = json.dumps(suites[-1].run(sizes[-1])).encode()
             with open(write_fd, "wb") as pipe:
                 pipe.write(data)
         finally:
@@ -265,7 +265,7 @@ def _run_suites(suites: list, sizes: list[int]) -> list[dict]:
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         try:
-            records = [suite.run(size).to_dict() for suite, size in zip(suites[:-1], sizes[:-1])]
+            records = [suite.run(size) for suite, size in zip(suites[:-1], sizes[:-1])]
             data = pipe.read()
         except BaseException:
             import signal  # only this path needs it
@@ -274,7 +274,7 @@ def _run_suites(suites: list, sizes: list[int]) -> list[dict]:
             os.waitpid(pid, 0)
             raise
     os.waitpid(pid, 0)
-    return records + [json.loads(data) if data else suites[-1].run(sizes[-1]).to_dict()]
+    return records + [json.loads(data) if data else suites[-1].run(sizes[-1])]
 
 
 def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]:
@@ -285,11 +285,13 @@ def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]
     suites = [s for name, s in verify_suites.SUITES.items() if args.suite in (name, "all")]
     sizes = [suite.checked(getattr(args, suite.param)) for suite in suites]
     # the report path is opened before any suite runs, so a path that cannot
-    # be written is a usage error, not a failed verification after the run
+    # be written is a usage error, not a failed verification after the run;
+    # so is an error writing or closing it once the suites have run
+    cannot_write = f"cannot write the report to {args.output!r}"
     try:
         output = open(args.output, "w", encoding="utf-8") if args.output else None
     except OSError as exc:
-        raise ValueError(f"cannot write the report to {args.output!r}: {exc.strerror}") from None
+        raise ValueError(f"{cannot_write}: {exc.strerror}") from None
     with output or contextlib.nullcontext():
         records = _run_suites(suites, sizes)
         all_passed = all(r["passed"] for r in records)
@@ -301,7 +303,13 @@ def _cmd_verify(args: argparse.Namespace, argv: list[str]) -> tuple[object, int]
             "detail": "" if all_passed else "one or more suites reported failures",
         }
         if output:
-            output.write(json.dumps(record, indent=2) + "\n")
+            # the inner with closes the file even when the write fails, so
+            # the outer one has nothing left to raise
+            try:
+                with output:
+                    output.write(json.dumps(record, indent=2) + "\n")
+            except OSError as exc:
+                raise ValueError(f"{cannot_write}: {exc.strerror}") from None
     return record, EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -362,12 +370,15 @@ def _choice(choices: tuple[str, ...]):
 
 def build_parser() -> argparse.ArgumentParser:
     formats = ("text", "json")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=15, help="significant digits for decimals")
-    common.add_argument(
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--digits", type=int, default=15, help="significant digits for decimals")
+    output_format = argparse.ArgumentParser(add_help=False)
+    output_format.add_argument(
         "--format", choices=formats, type=_choice(formats), default="text", dest="fmt",
         help="output format",
     )
+    # verify renders no decimals, so it takes only output_format
+    common = [digits, output_format]
 
     parser = argparse.ArgumentParser(
         prog="cgexact",
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("cg", "Clebsch-Gordan coefficient", False),
         ("3jm", "3jm symbol with lower row (alpha, beta, -gamma)", True),
     ):
-        coefficient_parser = sub.add_parser(name, parents=[common], help=help_text)
+        coefficient_parser = sub.add_parser(name, parents=common, help=help_text)
         for label in _LABEL_NAMES:
             coefficient_parser.add_argument(label, help=f"half-integer {label} ('k' or 'k/2')")
         backends = (*_BACKENDS, "all")
@@ -396,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist_parser = sub.add_parser("dist", help="exact distribution operations")
     dist_sub = dist_parser.add_subparsers(dest="dist_command", required=True)
     for name, (flags, string_flags, compute) in _DIST_COMMANDS.items():
-        p = dist_sub.add_parser(name, parents=[common])
+        p = dist_sub.add_parser(name, parents=common)
         for flag in flags:
             if flag in string_flags:
                 p.add_argument(f"--{flag}", required=True, help=string_flags[flag])
@@ -406,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist_parser.set_defaults(handler=_cmd_dist)
 
     limit_parser = sub.add_parser(
-        "limit", parents=[common], help="total variation distance to the binomial limit"
+        "limit", parents=common, help="total variation distance to the binomial limit"
     )
     limit_parser.add_argument("--p", required=True, help="success probability, 'num/den'")
     limit_parser.add_argument("--n2", type=int, required=True)
@@ -414,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     limit_parser.set_defaults(handler=_cmd_limit)
 
     verify_parser = sub.add_parser(
-        "verify", parents=[common], help="run identity verification suites"
+        "verify", parents=[output_format], help="run identity verification suites"
     )
     suites = (*verify_suites.SUITES, "all")
     verify_parser.add_argument("--suite", choices=suites, type=_choice(suites), default="all")

@@ -2,10 +2,11 @@
 
 Each suite sweeps a deterministic parameter range (lexicographic on doubled
 integers), compares public operations of the angular/prob modules against
-each other, and returns a structured report. The report layer performs no
-mathematics of its own. A passing case yields None and is only counted; a
-failing one yields its failure row (input, expected, actual), which is
-formatted only when the check fails.
+each other, and returns its JSON record: the dict that `cgexact verify`
+prints for it. The report layer performs no mathematics of its own. A
+passing case yields None and is only counted; a failing one yields its
+failure row (input, expected, actual), which is formatted only when the
+check fails.
 
 Every suite is declared once, as a row of `SUITES`; adding a suite means one
 case generator, yielding None or a failure row per case, one row, and one
@@ -17,7 +18,6 @@ builds its `--suite` choices and size flags from the rows.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -28,8 +28,6 @@ from .exact import SignedSqrtRational
 
 __all__ = [
     "SUITES",
-    "Failure",
-    "SuiteReport",
     "run_backend_agreement",
     "run_degenerate_identity",
     "run_distribution_identities",
@@ -38,39 +36,6 @@ __all__ = [
 _FAILURE_CAP = 20
 _MAX_TRIALS = 12  # convolution closure's largest trial count
 _CONVOLUTION_PS = (Fraction(1, 2), Fraction(1, 3), Fraction(3, 10))
-
-
-@dataclass(frozen=True)
-class Failure:
-    input: str
-    expected: str
-    actual: str
-
-    def to_dict(self) -> dict:
-        return {"input": self.input, "expected": self.expected, "actual": self.actual}
-
-
-@dataclass
-class SuiteReport:
-    suite_name: str
-    parameter_ranges: str
-    cases_run: int
-    failure_count: int
-    failures: list[Failure]
-
-    @property
-    def passed(self) -> bool:
-        return self.failure_count == 0
-
-    def to_dict(self) -> dict:
-        return {
-            "suite_name": self.suite_name,
-            "parameter_ranges": self.parameter_ranges,
-            "cases_run": self.cases_run,
-            "failure_count": self.failure_count,
-            "passed": self.passed,
-            "failures": [f.to_dict() for f in self.failures],
-        }
 
 
 def _agreement_cases(max_twice_ab: int) -> Iterator:
@@ -192,24 +157,32 @@ class _Suite(NamedTuple):
             raise ValueError(f"{self.param} must be >= {self.least}, got {size}")
         return size
 
-    def run(self, size: int) -> SuiteReport:
+    def run(self, size: int) -> dict:
         # the public runner, looked up at call time so that a wrapper rebound
         # on this module (a tracer, a monkeypatch) sees the call
         return globals()[f"run_{self.name}"](size)
 
-    def report(self, size: int) -> SuiteReport:
-        """Count the cases and keep the first failures, sorted by input."""
+    def report(self, size: int) -> dict:
+        """The suite's JSON record: the cases counted and the first failures,
+        sorted by input."""
         self.checked(size)
         cases = failure_count = 0
-        failures: list[Failure] = []
+        failures = []
         for row in self.cases(size):
             cases += 1
             if row is not None:
                 failure_count += 1
                 if len(failures) < _FAILURE_CAP:
-                    failures.append(Failure(*row))
-        failures.sort(key=lambda f: f.input)
-        return SuiteReport(self.name, self.ranges(size), cases, failure_count, failures)
+                    failures.append(row)
+        failures.sort(key=lambda row: row[0])
+        return {
+            "suite_name": self.name,
+            "parameter_ranges": self.ranges(size),
+            "cases_run": cases,
+            "failure_count": failure_count,
+            "passed": failure_count == 0,
+            "failures": [{"input": i, "expected": e, "actual": a} for i, e, a in failures],
+        }
 
 
 # Every suite, keyed by its CLI name, in report order.
@@ -230,7 +203,7 @@ SUITES = {
 }
 
 
-def run_backend_agreement(max_twice_ab: int) -> SuiteReport:
+def run_backend_agreement(max_twice_ab: int) -> dict:
     """Exact (sign, radicand) agreement of the Racah and 3F2 backends.
 
     Sweeps every structurally valid label set with 2a, 2b <= max_twice_ab
@@ -240,7 +213,7 @@ def run_backend_agreement(max_twice_ab: int) -> SuiteReport:
     return SUITES["agreement"].report(max_twice_ab)
 
 
-def run_degenerate_identity(max_l: int) -> SuiteReport:
+def run_degenerate_identity(max_l: int) -> dict:
     """The stretched coefficient against all of its independent expressions.
 
     For every (l1, k1, l2, k2) with l1, l2 <= max_l: the Racah radicand must
@@ -250,7 +223,7 @@ def run_degenerate_identity(max_l: int) -> SuiteReport:
     return SUITES["degenerate"].report(max_l)
 
 
-def run_distribution_identities(max_n3: int) -> SuiteReport:
+def run_distribution_identities(max_n3: int) -> dict:
     """Normalization, moments, pgf normalization, and convolution closure.
 
     Sweeps all (n1, n2, n3) with n3 <= max_n3, then convolution closure for

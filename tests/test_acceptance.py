@@ -49,9 +49,9 @@ def _report(number: int, text: str) -> None:
 
 def test_criterion_1_backend_equivalence():
     report = run_backend_agreement(5)
-    assert report.cases_run > 0
-    assert report.failure_count == 0, report.failures[:5]
-    _report(1, f"cg_racah == cg_3f2 on {report.cases_run} label sets (exact)")
+    assert report["cases_run"] > 0
+    assert report["failure_count"] == 0, report["failures"][:5]
+    _report(1, f"cg_racah == cg_3f2 on {report['cases_run']} label sets (exact)")
 
 
 def test_criterion_2_degenerate_identity():

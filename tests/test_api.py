@@ -12,9 +12,9 @@ LAYERS = (angular, exact, hypseries, prob, verify)
 
 PUBLIC = {
     "BinomialParams", "CgLabels", "DegenerateConditioningError", "DegenerateDistributionError",
-    "DegenerateLabels", "Failure", "HalfInt", "HypergeomParams", "IndivisibleN3Error",
+    "DegenerateLabels", "HalfInt", "HypergeomParams", "IndivisibleN3Error",
     "InvalidLabelsError", "MismatchedPError", "PhaseUndefinedError", "PmfTable",
-    "ProductStateVector", "SUITES", "SignedSqrtRational", "StepsOutOfRangeError", "SuiteReport",
+    "ProductStateVector", "SUITES", "SignedSqrtRational", "StepsOutOfRangeError",
     "SupportTooSmallError", "TriangleViolationError", "binomial", "binomial_convolve",
     "binomial_limit_tv", "binomial_pmf", "cg_3f2", "cg_degenerate_squared", "cg_ladder_rows",
     "cg_ladder_stretched", "cg_racah", "cg_to_3jm", "conditional_probability", "delta_abc",

@@ -594,6 +594,41 @@ class TestVerifyCommand:
             assert captured.out == f"error: {message}\n"
         assert calls == []
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_report_that_cannot_be_written_exits_2(self, capsys, fmt):
+        # /dev/full opens, and the write or the close fails once the suites
+        # have run: a usage error as for a path that cannot be opened, not a
+        # traceback with exit 1
+        code = main(["verify", *SMALL_SIZES, "--output", "/dev/full", "--format", fmt])
+        captured = capsys.readouterr()
+        message = "cannot write the report to '/dev/full': No space left on device"
+        assert code == 2
+        assert captured.err == f"cgexact: {message}\n"
+        if fmt == "json":
+            assert json.loads(captured.out)["detail"] == message
+        else:
+            assert captured.out == f"error: {message}\n"
+
+    def test_a_suite_error_is_not_a_write_error(self, monkeypatch, tmp_path):
+        # only the write and the close are read as a report that cannot be
+        # written; an OSError a suite raises propagates as it is
+        def fail(size):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(verify, "run_degenerate_identity", fail)
+        argv = ["verify", "--suite", "degenerate", "--output", str(tmp_path / "r.json")]
+        with pytest.raises(OSError) as excinfo:
+            main(argv)
+        assert excinfo.value.errno == 28
+
+    def test_digits_is_not_a_verify_option(self, capsys):
+        # verify renders no decimals
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--digits", "5"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith("unrecognized arguments: --digits 5\n")
+
     def test_output_file_is_the_json_stdout(self, capsys, tmp_path):
         # with --suite all, the forked child holds the open report file too,
         # and must not write it a second time
@@ -606,7 +641,7 @@ class TestVerifyCommand:
 
     def test_child_suite_fault_gives_the_in_process_rows(self, capsys, monkeypatch):
         monkeypatch.setattr(prob, "hypergeom_pgf", lambda params, t: 2)
-        want = verify.run_distribution_identities(4).to_dict()
+        want = verify.run_distribution_identities(4)
         assert want["failure_count"] > 0
         code, record, _ = run_json(capsys, "verify", *SMALL_SIZES)
         assert code == 1
@@ -664,7 +699,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "run_distribution_identities", run)
         code, record, _ = run_json(capsys, "verify", *SMALL_SIZES)
         assert code == 0
-        assert record["suites"][-1] == verify.run_distribution_identities(4).to_dict()
+        assert record["suites"][-1] == verify.run_distribution_identities(4)
         _assert_no_child()
 
     @needs_fork
@@ -887,8 +922,8 @@ PINNED_BYTES = [
     ("limit --p 1/2 --n2 1 --n3 -4", "215cbcb4c6fc3a99", "33a82b6bcbef0c93"),
     ("verify --max-twice-ab 1 --max-l 2 --max-n3 4", "5abf2b3ad4230529", "fe680a89e3cb4b91"),
     ("verify --suite degenerate --max-l 2", "c0051f3cde936516", "665e2f0ad9ca6b8f"),
-    ("verify --suite bogus", "c31cbf14e34ebb71", "c31cbf14e34ebb71"),
-    ("verify --help", "ba8fc4753a99c8a1", "ba8fc4753a99c8a1"),
+    ("verify --suite bogus", "480f46dc43578dd7", "480f46dc43578dd7"),
+    ("verify --help", "17e9ac5d8cfb216e", "17e9ac5d8cfb216e"),
 ]
 
 

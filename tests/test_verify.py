@@ -22,24 +22,24 @@ from cgexact.verify import (
 
 def test_backend_agreement_minimal_and_small():
     report = run_backend_agreement(1)
-    assert report.passed
-    assert report.cases_run > 0
-    assert report.failures == []
-    assert run_backend_agreement(3).passed
+    assert report["passed"]
+    assert report["cases_run"] > 0
+    assert report["failures"] == []
+    assert run_backend_agreement(3)["passed"]
 
 
 def test_degenerate_identity_small():
     report = run_degenerate_identity(4)
-    assert report.passed
-    assert report.cases_run == sum(
+    assert report["passed"]
+    assert report["cases_run"] == sum(
         (l1 + 1) * (l2 + 1) for l1 in range(5) for l2 in range(5)
     )
 
 
 def test_distribution_identities_small():
     report = run_distribution_identities(8)
-    assert report.passed
-    assert report.cases_run > 0
+    assert report["passed"]
+    assert report["cases_run"] > 0
 
 
 def _lcm_call_sites(function) -> set[tuple[str, int]]:
@@ -58,7 +58,7 @@ def test_lcm_folds_leave_no_live_blocks():
     assert len(sites) == 1
     tracemalloc.start()
     try:
-        assert run_distribution_identities(30).passed
+        assert run_distribution_identities(30)["passed"]
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
@@ -85,7 +85,22 @@ def test_every_suite_row_has_its_public_runner():
         name = f"run_{row.name}"
         assert callable(getattr(verify, name, None)), name
         assert name in verify.__all__, name
-        assert row.run(row.least).to_dict() == row.report(row.least).to_dict()
+        assert row.run(row.least) == row.report(row.least)
+
+
+RECORD_KEYS = ["suite_name", "parameter_ranges", "cases_run", "failure_count", "passed", "failures"]
+
+
+@pytest.mark.parametrize("name", list(verify.SUITES))
+def test_a_runner_returns_the_record_the_cli_prints(capsys, name):
+    row = verify.SUITES[name]
+    record = row.run(row.least)
+    assert type(record) is dict
+    assert list(record) == RECORD_KEYS
+    assert json.loads(json.dumps(record)) == record
+    flag = "--" + row.param.replace("_", "-")
+    assert main(["verify", "--suite", name, flag, str(row.least), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["suites"] == [record]
 
 
 def test_cases_yield_none_or_their_failure_row(monkeypatch):
@@ -109,10 +124,10 @@ def test_backend_agreement_fault_injection(monkeypatch):
     # negation of zero is zero, so only genuinely nonzero cases disagree
     monkeypatch.setattr(angular, "cg_3f2", lambda labels: -angular.cg_racah(labels))
     report = run_backend_agreement(2)
-    assert not report.passed
-    assert report.failure_count > 0
-    assert len(report.failures) <= 20
-    assert report.failure_count >= len(report.failures)
+    assert not report["passed"]
+    assert report["failure_count"] > 0
+    assert len(report["failures"]) <= 20
+    assert report["failure_count"] >= len(report["failures"])
 
 
 def test_degenerate_identity_fault_injection(monkeypatch):
@@ -123,7 +138,7 @@ def test_degenerate_identity_fault_injection(monkeypatch):
 
     monkeypatch.setattr(angular, "cg_degenerate_squared", skewed)
     report = run_degenerate_identity(3)
-    assert not report.passed
+    assert not report["passed"]
 
 
 def test_a_skewed_quotient_kernel_fails_its_one_degenerate_case(monkeypatch):
@@ -137,8 +152,8 @@ def test_a_skewed_quotient_kernel_fails_its_one_degenerate_case(monkeypatch):
 
     monkeypatch.setattr(angular, "_binomial_quotient", skewed)
     report = run_degenerate_identity(10)
-    assert (report.cases_run, report.failure_count) == (4356, 1)
-    assert [f.input for f in report.failures] == ["l1=7 k1=3 l2=5 k2=2"]
+    assert (report["cases_run"], report["failure_count"]) == (4356, 1)
+    assert [f["input"] for f in report["failures"]] == ["l1=7 k1=3 l2=5 k2=2"]
 
 
 def test_distribution_identities_fault_injection(monkeypatch):
@@ -149,7 +164,7 @@ def test_distribution_identities_fault_injection(monkeypatch):
 
     monkeypatch.setattr(prob, "hypergeom_variance", skewed)
     report = run_distribution_identities(4)
-    assert not report.passed
+    assert not report["passed"]
 
 
 def test_failure_cap_and_full_count(monkeypatch):
@@ -157,12 +172,12 @@ def test_failure_cap_and_full_count(monkeypatch):
         angular, "cg_3f2", lambda labels: SignedSqrtRational(1, Fraction(7, 5))
     )
     report = run_backend_agreement(3)
-    assert len(report.failures) == 20
-    assert report.failure_count > 20
+    assert len(report["failures"]) == 20
+    assert report["failure_count"] > 20
 
 
 def _dumped(report) -> str:
-    return json.dumps(report.to_dict(), indent=2)
+    return json.dumps(report, indent=2)
 
 
 def test_reports_are_deterministic():
@@ -191,10 +206,10 @@ def test_failure_rows_have_input_expected_actual(monkeypatch):
         angular, "cg_3f2", lambda labels: SignedSqrtRational(1, Fraction(7, 5))
     )
     report = run_backend_agreement(1)
-    row = report.failures[0].to_dict()
+    row = report["failures"][0]
     assert set(row) == {"input", "expected", "actual"}
     # failures are sorted by input for reproducible reports
-    inputs = [f.input for f in report.failures]
+    inputs = [f["input"] for f in report["failures"]]
     assert inputs == sorted(inputs)
 
 
@@ -356,10 +371,10 @@ def test_golden_failure_rows(monkeypatch, name):
     fault, runner, size, cases, failure_count, first, last = GOLDEN_FAULTS[name]
     fault(monkeypatch)
     report = runner(size)
-    assert report.cases_run == cases
-    assert report.failure_count == failure_count
-    assert len(report.failures) == min(failure_count, 20)
-    rows = [(f.input, f.expected, f.actual) for f in report.failures]
+    assert report["cases_run"] == cases
+    assert report["failure_count"] == failure_count
+    assert len(report["failures"]) == min(failure_count, 20)
+    rows = [(f["input"], f["expected"], f["actual"]) for f in report["failures"]]
     assert (rows[0], rows[-1]) == (first, last)
 
 
@@ -387,7 +402,7 @@ def test_off_by_one_lowering_factor_is_caught(monkeypatch, capsys):
     # wrong on every call alike, so the ladder raises nothing and only the
     # comparison with the other backends can see it.
     argv = ["cg", "1", "0", "1", "0", "2", "0", "--backend", "all", "--format", "json"]
-    assert run_degenerate_identity(4).passed
+    assert run_degenerate_identity(4)["passed"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["agreement"] is True
     real = angular._lowering_factor
@@ -395,8 +410,8 @@ def test_off_by_one_lowering_factor_is_caught(monkeypatch, capsys):
         angular, "_lowering_factor", lambda tj, tm: real(tj, tm) + ((tj, tm) == (2, 2))
     )
     report = run_degenerate_identity(4)
-    assert (report.cases_run, report.failure_count) == (225, 45)
-    rows = [(f.input, f.expected, f.actual) for f in report.failures]
+    assert (report["cases_run"], report["failure_count"]) == (225, 45)
+    rows = [(f["input"], f["expected"], f["actual"]) for f in report["failures"]]
     assert rows[0] == (
         "l1=1 k1=0 l2=2 k2=1", "sign=+1 radicand=2/3",
         "cg=+sqrt(2/3) conditional=2/3 ladder=+sqrt(3/4)",
@@ -418,9 +433,9 @@ def test_a_row_without_a_key_fails_with_ladder_zero(monkeypatch):
 
     monkeypatch.setattr(angular, "cg_ladder_rows", without_first_key)
     report = run_degenerate_identity(2)
-    assert (report.cases_run, report.failure_count) == (36, 27)
-    assert all(f.actual.endswith(" ladder=0") for f in report.failures)
-    assert (report.failures[0].input, report.failures[0].actual) == (
+    assert (report["cases_run"], report["failure_count"]) == (36, 27)
+    assert all(f["actual"].endswith(" ladder=0") for f in report["failures"])
+    assert (report["failures"][0]["input"], report["failures"][0]["actual"]) == (
         "l1=0 k1=0 l2=0 k2=0", "cg=+sqrt(1) conditional=1 ladder=0"
     )
 
@@ -432,8 +447,8 @@ def test_reflected_mean_fails_exactly_the_mean_cases(monkeypatch):
     real = prob.hypergeom_mean
     monkeypatch.setattr(prob, "hypergeom_mean", lambda params: 1 - real(params))
     report = run_distribution_identities(4)
-    assert (report.cases_run, report.failure_count) == (269, 51)
-    assert [(f.input, f.expected, f.actual) for f in report.failures] == [
+    assert (report["cases_run"], report["failure_count"]) == (269, 51)
+    assert [(f["input"], f["expected"], f["actual"]) for f in report["failures"]] == [
         ("n1=0 n2=0 n3=1 mean", "1", "0"),
         ("n1=0 n2=0 n3=2 mean", "1", "0"),
         ("n1=0 n2=0 n3=3 mean", "1", "0"),
@@ -456,7 +471,7 @@ def test_reflected_mean_fails_exactly_the_mean_cases(monkeypatch):
         ("n1=2 n2=2 n3=2 mean", "-1", "2"),
     ]
     laws = [(n1, n2, n3) for n3 in range(1, 5) for n1 in range(n3 + 1) for n2 in range(n3 + 1)]
-    assert report.failure_count == sum(2 * n1 * n2 != n3 for n1, n2, n3 in laws)
+    assert report["failure_count"] == sum(2 * n1 * n2 != n3 for n1, n2, n3 in laws)
 
 
 def test_a_fault_in_one_split_fails_that_split_alone(monkeypatch):
@@ -474,8 +489,8 @@ def test_a_fault_in_one_split_fails_that_split_alone(monkeypatch):
 
     monkeypatch.setattr(prob, "binomial_convolve", swapped)
     report = run_distribution_identities(4)
-    assert (report.cases_run, report.failure_count) == (269, 3)
-    assert [f.input for f in report.failures] == [
+    assert (report["cases_run"], report["failure_count"]) == (269, 3)
+    assert [f["input"] for f in report["failures"]] == [
         f"convolve trials1=2 trials2=1 p={p}" for p in ("1/2", "1/3", "3/10")
     ]
 
