@@ -33,10 +33,7 @@ __all__ = [
     "DegenerateLabels",
     "HalfInt",
     "InvalidLabelsError",
-    "PhaseUndefinedError",
     "ProductStateVector",
-    "StepsOutOfRangeError",
-    "TriangleViolationError",
     "cg_3f2",
     "cg_degenerate_squared",
     "cg_ladder_rows",
@@ -52,18 +49,6 @@ __all__ = [
 class InvalidLabelsError(ValueError):
     """Structural invariant violated: out-of-range projection, parity
     mismatch, or negative momentum. Distinct from selection-rule zeros."""
-
-
-class TriangleViolationError(ValueError):
-    """(a, b, c) do not satisfy the triangle rule with integral sum."""
-
-
-class StepsOutOfRangeError(ValueError):
-    """Lowering depth outside [0, 2(a+b)]."""
-
-
-class PhaseUndefinedError(ValueError):
-    """a - b + gamma is not an integer, so (-1)^(a-b+gamma) has no value."""
 
 
 @dataclass(frozen=True)
@@ -292,10 +277,15 @@ def cg_racah(labels: CgLabels) -> SignedSqrtRational:
 
 
 def delta_abc(a: HalfInt, b: HalfInt, c: HalfInt) -> SignedSqrtRational:
-    """Triangle coefficient sqrt[(a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!]."""
+    """Triangle coefficient sqrt[(a+b-c)!(a-b+c)!(-a+b+c)!/(a+b+c+1)!].
+
+    Raises ValueError unless (a, b, c) satisfy the triangle rule with an
+    integral sum a + b + c, since a factorial would have a negative or
+    half-integral argument.
+    """
     ta, tb, tc = a.twice, b.twice, c.twice
     if _triangle_violation(ta, tb, tc):
-        raise TriangleViolationError(f"({a}, {b}, {c}) violates the triangle rule")
+        raise ValueError(f"({a}, {b}, {c}) violates the triangle rule")
     radicand = _fraction(
         factorial((ta + tb - tc) // 2)
         * factorial((ta - tb + tc) // 2)
@@ -419,10 +409,11 @@ def cg_ladder_stretched(a: HalfInt, b: HalfInt, steps: int) -> ProductStateVecto
     `steps` times to the path counts, and normalises that row alone. The
     resulting amplitudes are the coefficients <a m1; b m2 | c gamma> at
     c = a+b, gamma = a+b-steps. Fully independent of both series backends.
+    Raises ValueError when the lowering depth `steps` is outside [0, 2(a+b)].
     """
     _check_spins(a, b)
     if not 0 <= steps <= a.twice + b.twice:
-        raise StepsOutOfRangeError(f"steps must lie in [0, {a.twice + b.twice}], got {steps}")
+        raise ValueError(f"steps must lie in [0, {a.twice + b.twice}], got {steps}")
     return next(_lowering_states(a.twice, b.twice, steps))
 
 
@@ -438,11 +429,17 @@ def cg_ladder_rows(a: HalfInt, b: HalfInt) -> Iterator[ProductStateVector]:
 
 def cg_to_3jm(labels: CgLabels, cg: SignedSqrtRational) -> SignedSqrtRational:
     """3jm symbol with lower row (alpha, beta, -gamma) from the CG value:
-    phase (-1)^(a-b+gamma) and division by sqrt(2c+1)."""
+    phase (-1)^(a-b+gamma) and division by sqrt(2c+1).
+
+    A zero value is returned as zero before the phase is taken: labels with
+    a half-integral a - b + gamma break gamma = alpha + beta, so their
+    symbol is 0. The value comes from the caller, so a nonzero one with such
+    labels raises ValueError, since (-1)^(a-b+gamma) has no value.
+    """
+    if cg.is_zero:
+        return _ZERO
     phase_twice = labels.a.twice - labels.b.twice + labels.gamma.twice
     if phase_twice % 2:
-        raise PhaseUndefinedError(
-            f"a - b + gamma = {HalfInt(phase_twice)} is not an integer"
-        )
+        raise ValueError(f"a - b + gamma = {HalfInt(phase_twice)} is not an integer")
     out = cg.scale_sqrt(_reduced(1, labels.c.twice + 1))
     return -out if (phase_twice // 2) % 2 else out

@@ -37,13 +37,8 @@ from .hypseries import _terminating_sum
 
 __all__ = [
     "BinomialParams",
-    "DegenerateConditioningError",
-    "DegenerateDistributionError",
     "HypergeomParams",
-    "IndivisibleN3Error",
-    "MismatchedPError",
     "PmfTable",
-    "SupportTooSmallError",
     "binomial_convolve",
     "binomial_limit_tv",
     "binomial_pmf",
@@ -54,26 +49,6 @@ __all__ = [
     "hypergeom_pmf",
     "hypergeom_variance",
 ]
-
-
-class DegenerateDistributionError(ValueError):
-    """Variance needs at least two items to draw from."""
-
-
-class MismatchedPError(ValueError):
-    """Convolution closure requires a common success probability."""
-
-
-class DegenerateConditioningError(ValueError):
-    """Conditioning on the total is degenerate at p = 0 or p = 1."""
-
-
-class IndivisibleN3Error(ValueError):
-    """n3 is not a multiple of denominator(p), so n1 = p*n3 is not an integer."""
-
-
-class SupportTooSmallError(ValueError):
-    """n2 exceeds min(n1, n3 - n1); the comparison needs full support [0, n2]."""
 
 
 # Measured crossover of the reduced pmf walk. On 40 laws per n3 shaped as the
@@ -355,9 +330,13 @@ def hypergeom_mean(params: HypergeomParams) -> Fraction:
 
 
 def hypergeom_variance(params: HypergeomParams) -> Fraction:
-    """Var[X] = n1 n2 (n3-n1)(n3-n2) / (n3^2 (n3-1))."""
+    """Var[X] = n1 n2 (n3-n1)(n3-n2) / (n3^2 (n3-1)).
+
+    Raises ValueError when n3 < 2: the variance needs at least two items to
+    draw from.
+    """
     if params.n3 < 2:
-        raise DegenerateDistributionError("variance needs n3 >= 2")
+        raise ValueError("variance needs n3 >= 2")
     n1, n2, n3 = params.n1, params.n2, params.n3
     return _fraction(n1 * n2 * (n3 - n1) * (n3 - n2), n3 * n3 * (n3 - 1))
 
@@ -401,10 +380,10 @@ def binomial_convolve(a: BinomialParams, b: BinomialParams) -> PmfTable:
     product still forms every num_a(j) num_b(k - j): closure under
     convolution is an identity the verify suite checks, and computing the
     result from the merged law (or Vandermonde's identity) would make that
-    check true by construction.
+    check true by construction. Raises ValueError when a.p != b.p.
     """
     if a.p != b.p:
-        raise MismatchedPError(f"common p required, got {a.p} and {b.p}")
+        raise ValueError(f"common p required, got {a.p} and {b.p}")
     p = a.p
     denominator = p.denominator ** (a.trials + b.trials)
     width = (denominator.bit_length() + 7) // 8
@@ -435,10 +414,13 @@ def conditional_probability(labels: DegenerateLabels, p: Fraction | int | str) -
     cancels, leaving C(l1,k1) C(l2,k2) / C(l,k) independent of p. The
     three pmfs are taken as numerators over v^l1, v^l2 and v^l for p = u/v;
     since l = l1 + l2 those denominators cancel as well.
+
+    Raises ValueError unless 0 < p < 1: conditioning on the total is
+    degenerate at p = 0 and p = 1, where the pmf quotient can be 0/0.
     """
     p = _rational(p)
     if not 0 < p.numerator < p.denominator:
-        raise DegenerateConditioningError(f"p must lie strictly inside (0, 1), got {p}")
+        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
     return _fraction(
         _pmf_numerator(labels.l1, p, labels.k1) * _pmf_numerator(labels.l2, p, labels.k2),
         _pmf_numerator(labels.l, p, labels.k),
@@ -451,9 +433,10 @@ def binomial_limit_tv(
     """Exact total variation distance between the hypergeometric law with
     n1 = p*n3 and the binomial(n2, p) law, for each n3 in the sequence.
 
-    p must lie in [0, 1], n3 must be a multiple of denominator(p) so that n1
-    is an exact integer, and n2 must fit inside min(n1, n3 - n1) so both laws
-    share the full support [0, n2].
+    p must lie in [0, 1], each n3 must be positive and a multiple of
+    denominator(p) so that n1 is an exact integer, and n2 must fit inside
+    min(n1, n3 - n1) so both laws share the full support [0, n2]; a failed
+    condition raises ValueError.
 
     For p = u/v each distance is one Fraction: the integer sum over x of
     |C(n1,x) C(n3-n1,n2-x) v^n2 - _pmf_numerator(n2,p,x) C(n3,n2)|, over the
@@ -469,10 +452,10 @@ def binomial_limit_tv(
         if n3 <= 0:
             raise ValueError(f"n3 must be positive, got {n3}")
         if n3 % p.denominator:
-            raise IndivisibleN3Error(f"n3 = {n3} is not a multiple of {p.denominator}")
+            raise ValueError(f"n3 = {n3} is not a multiple of {p.denominator}")
         n1 = n3 // p.denominator * p.numerator
         if n2 > min(n1, n3 - n1):
-            raise SupportTooSmallError(
+            raise ValueError(
                 f"n2 = {n2} exceeds min(n1, n3 - n1) = {min(n1, n3 - n1)} at n3 = {n3}"
             )
         law = HypergeomParams(n1, n2, n3)

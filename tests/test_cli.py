@@ -895,7 +895,7 @@ PINNED_BYTES = [
     ("cg 1 0 1 0 2 0 --digits 0", "2edd78d22eed0487", "e550b4bcde3940d6"),
     ("3jm 1 1 1 -1 0 0", "51787893469c2c3f", "dfb4c9dbe4babc1c"),
     ("3jm 1 0 1 0 2 0 --backend all", "32eaf55970d1a92d", "5b1330f6be1cbc4e"),
-    ("3jm 1/2 1/2 1/2 -1/2 1/2 1/2 --backend all", "c2356c4a95f06cd8", "cbfec633b89a356a"),
+    ("3jm 1/2 1/2 1/2 -1/2 1/2 1/2 --backend all", "862a9684347c823d", "564a8ec0e242334f"),
     ("3jm 1 1 1 -1 0 junk", "2c749f08619cf447", "a06336cc50fa0d0e"),
     ("dist hypergeom-pmf --n1 5 --n2 2 --n3 10 --x 1", "4a07024c22604fae", "00bb3000e82b822d"),
     ("dist hypergeom-pmf --n1 11 --n2 2 --n3 10 --x 1", "6703ff9a45ae11a3", "3fb0bcef0bb49e28"),
