@@ -21,7 +21,6 @@ from .exact import (
     _binomial_quotient,
     _fraction,
     _reduced,
-    _reduced_product,
     _trusted,
     binomial,
     factorial,
@@ -308,8 +307,8 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
     and runs to min(p, am, bp). When b1, b2 >= 1 this is the literal
     3F2 / ((b1-1)! (b2-1)!); when a lower parameter is a nonpositive integer
     the literal series is singular and only this form exists. Either way the
-    coefficient is S / p! times sqrt(Delta^2 * bracket), and it agrees with
-    cg_racah exactly on every input.
+    coefficient is Delta(abc) * (S / p!) * sqrt(bracket), formed by one
+    product, and it agrees with cg_racah exactly on every input.
     """
     if selection_rule_violation(labels) is not None:
         return _ZERO
@@ -338,11 +337,7 @@ def cg_3f2(labels: CgLabels) -> SignedSqrtRational:
         (-p, -am, -bp), (b1, b2), 1, k0, min(p, am, bp),
         -first_num if k0 % 2 else first_num, first_den,
     )
-    delta2 = delta_abc(labels.a, labels.b, labels.c).radicand
-    radicand = _reduced_product(
-        delta2._numerator, delta2._denominator, bracket._numerator, bracket._denominator
-    )
-    return SignedSqrtRational.from_scaled_sqrt(coeff, radicand)
+    return delta_abc(labels.a, labels.b, labels.c) * SignedSqrtRational.from_scaled_sqrt(coeff, bracket)
 
 
 def cg_degenerate_squared(labels: DegenerateLabels) -> Fraction:
@@ -428,8 +423,8 @@ def cg_ladder_rows(a: HalfInt, b: HalfInt) -> Iterator[ProductStateVector]:
 
 
 def cg_to_3jm(labels: CgLabels, cg: SignedSqrtRational) -> SignedSqrtRational:
-    """3jm symbol with lower row (alpha, beta, -gamma) from the CG value:
-    phase (-1)^(a-b+gamma) and division by sqrt(2c+1).
+    """3jm symbol with lower row (alpha, beta, -gamma) from the CG value: one
+    product with (-1)^(a-b+gamma) / sqrt(2c+1), whose sign is the phase.
 
     A zero value is returned as zero before the phase is taken: labels with
     a half-integral a - b + gamma break gamma = alpha + beta, so their
@@ -441,5 +436,4 @@ def cg_to_3jm(labels: CgLabels, cg: SignedSqrtRational) -> SignedSqrtRational:
     phase_twice = labels.a.twice - labels.b.twice + labels.gamma.twice
     if phase_twice % 2:
         raise ValueError(f"a - b + gamma = {HalfInt(phase_twice)} is not an integer")
-    out = cg.scale_sqrt(_reduced(1, labels.c.twice + 1))
-    return -out if (phase_twice // 2) % 2 else out
+    return cg * _trusted(-1 if phase_twice % 4 else 1, _reduced(1, labels.c.twice + 1))

@@ -318,8 +318,8 @@ class SignedSqrtRational:
 
     Radicands stay reduced (Fraction guarantees that) but are not made
     square-free, so equality is plain equality of (sign, radicand). The type
-    is closed under products, rational scaling and sqrt-scaling, which is all
-    the coefficient algebra needs.
+    is closed under products and negation, which is all the coefficient
+    algebra needs; `from_scaled_sqrt` builds coeff * sqrt(r) from rationals.
     """
 
     sign: int
@@ -372,19 +372,6 @@ class SignedSqrtRational:
         if self.sign == 0:
             return _ZERO
         return _trusted(-self.sign, self.radicand)
-
-    def scale_sqrt(self, factor: Fraction | int) -> "SignedSqrtRational":
-        """Multiply by sqrt(factor), factor >= 0."""
-        factor = _rational(factor)
-        if factor.numerator < 0:
-            raise ValueError(f"sqrt scale factor must be nonnegative, got {factor}")
-        if factor.numerator == 0 or self.sign == 0:
-            return _ZERO
-        radicand = self.radicand
-        radicand = _reduced_product(
-            radicand._numerator, radicand._denominator, factor.numerator, factor.denominator
-        )
-        return _trusted(self.sign, radicand)
 
     def __str__(self) -> str:
         if self.sign == 0:

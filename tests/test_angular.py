@@ -682,7 +682,11 @@ def _lower_parameters(labels: CgLabels) -> tuple[int, int]:
 
 def test_racah_and_3f2_agree_at_large_j():
     # past the verify sweep (2a, 2b <= 5): both 3F2 lower-parameter regimes,
-    # integer and half-integer momenta, 2j from 100 to 400
+    # integer and half-integer momenta, 2j from 100 to 400; each series and
+    # its 3jm also match sympy's wigner on sign and square
+    sympy = pytest.importorskip("sympy")
+    from sympy.physics.wigner import clebsch_gordan, wigner_3j
+
     label_sets = [
         (200, 10, 200, -4, 100, 6),
         (400, 0, 398, 2, 400, 2),
@@ -700,8 +704,19 @@ def test_racah_and_3f2_agree_at_large_j():
         assert selection_rule_violation(labels) is None
         value = cg_3f2(labels)
         assert not value.is_zero
-        assert value == cg_racah(labels)
+        racah = cg_racah(labels)
+        assert value == racah
         regimes.add(min(_lower_parameters(labels)) >= 1)
+        a, alpha, b, beta, c, gamma = (sympy.Rational(t, 2) for t in twice)
+        jms = [cg_to_3jm(labels, v) for v in (value, racah)]
+        for oracle, got in (
+            (clebsch_gordan(a, b, c, alpha, beta, gamma), (value, racah)),
+            (wigner_3j(a, b, c, alpha, beta, -gamma), jms),
+        ):
+            sign, square = int(sympy.sign(oracle)), sympy.Rational(oracle**2)
+            for v in got:
+                assert v.sign == sign
+                assert sympy.Rational(v.radicand.numerator, v.radicand.denominator) == square
     assert regimes == {True, False}
 
 

@@ -417,7 +417,8 @@ class TestSignedSqrtRational:
             for radicand in (0, 2, Fraction(6, 4), "9/12", 1.5)
         ]
         values += [-v for v in values] + [x * y for x in values[:10] for y in values[:10]]
-        values += [v.scale_sqrt(f) for v in values[:10] for f in (0, 3, Fraction(2, 8), 0.5)]
+        values += [v * SignedSqrtRational(1, f) for v in values[:10] for f in (3, Fraction(2, 8), 0.5)]
+        values += [v * SignedSqrtRational.zero() for v in values[:10]]
         for value in values:
             radicand = value.radicand
             assert type(radicand) is Fraction and radicand >= 0
@@ -427,10 +428,10 @@ class TestSignedSqrtRational:
             assert (value.sign == 0) == (value is zero)
             assert value == SignedSqrtRational(value.sign, radicand)
         assert -zero is zero and -SignedSqrtRational(0, 0) is zero
-        one = SignedSqrtRational(1, 1)
+        # a negative sqrt-scale factor fails in the constructor of its value
         for bad, shown in ((-2, "-2"), (Fraction(-2, 4), "-1/2"), (-0.5, "-1/2")):
             with pytest.raises(ValueError, match=f"nonnegative, got {shown}$"):
-                one.scale_sqrt(bad)
+                SignedSqrtRational(1, bad)
             with pytest.raises(ValueError, match=f"nonnegative, got {shown}$"):
                 SignedSqrtRational.from_scaled_sqrt(1, bad)
 
@@ -452,7 +453,7 @@ class TestSignedSqrtRational:
         b = SignedSqrtRational(-1, Fraction(2, 3))
         assert a * b == SignedSqrtRational(-1, Fraction(1, 3))
         assert -a == SignedSqrtRational(-1, Fraction(1, 2))
-        assert a.scale_sqrt(Fraction(1, 3)) == SignedSqrtRational(1, Fraction(1, 6))
+        assert a * SignedSqrtRational(1, Fraction(1, 3)) == SignedSqrtRational(1, Fraction(1, 6))
         assert (a * SignedSqrtRational.zero()).is_zero
 
 
