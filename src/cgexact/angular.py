@@ -65,12 +65,8 @@ class HalfInt:
             return cls(int(s[:-2]))
         return cls(2 * int(s))
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __str__(self) -> str:
-        return str(self.twice // 2) if self.is_integer else f"{self.twice}/2"
+        return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
 
 
 # HalfInt(t) for every |t| <= _HALF_MAX, built once: labels of that size
@@ -186,10 +182,6 @@ class ProductStateVector:
 
     def amplitude(self, m1: HalfInt, m2: HalfInt) -> SignedSqrtRational:
         return self.entries.get((m1.twice, m2.twice), _ZERO)
-
-    def norm_squared(self) -> Fraction:
-        """Exact squared norm; signs square away, so this is a radicand sum."""
-        return sum((v.radicand for v in self.entries.values()), Fraction(0))
 
 
 def _triangle_violation(ta: int, tb: int, tc: int) -> str | None:

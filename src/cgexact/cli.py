@@ -30,7 +30,7 @@ from .angular import (
     cg_to_3jm,
     selection_rule_violation,
 )
-from .exact import SignedSqrtRational, _digit_string, rational_to_decimal, sqrt_to_decimal
+from .exact import SignedSqrtRational, _check_digits, _digit_string, rational_to_decimal, sqrt_to_decimal
 from .prob import (
     BinomialParams,
     HypergeomParams,
@@ -448,6 +448,9 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(value, str) and value in typed:
             setattr(args, name, typed[value])
     try:
+        # a bad --digits fails before the command computes anything
+        if hasattr(args, "digits"):
+            _check_digits(args.digits)
         payload, code = args.handler(args, argv)
     except (ValueError, ArithmeticError) as exc:
         payload = {

@@ -16,7 +16,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
+from operator import mul
 
 __all__ = [
     "SignedSqrtRational",
@@ -43,13 +44,8 @@ def factorial(n: int) -> int:
     if n >= len(_FACT):
         if n > _FACT_MAX_CACHED:
             return math.factorial(n)
-        start = len(_FACT)
-        acc = _FACT[start - 1]
-        grown = []
-        for i in range(start, n + 1):
-            acc *= i
-            grown.append(acc)
-        _FACT[start : n + 1] = grown
+        start = len(_FACT) - 1
+        _FACT[start : n + 1] = accumulate(range(start + 1, n + 1), mul, initial=_FACT[start])
     return _FACT[n]
 
 
@@ -318,8 +314,9 @@ class SignedSqrtRational:
 
     Radicands stay reduced (Fraction guarantees that) but are not made
     square-free, so equality is plain equality of (sign, radicand). The type
-    is closed under products and negation, which is all the coefficient
-    algebra needs; `from_scaled_sqrt` builds coeff * sqrt(r) from rationals.
+    is closed under products, which is all the coefficient algebra needs:
+    negation is the product with SignedSqrtRational(-1, 1).
+    `from_scaled_sqrt` builds coeff * sqrt(r) from rationals.
     """
 
     sign: int
@@ -368,11 +365,6 @@ class SignedSqrtRational:
         radicand = _reduced_product(a._numerator, a._denominator, b._numerator, b._denominator)
         return _trusted(sign, radicand)
 
-    def __neg__(self) -> "SignedSqrtRational":
-        if self.sign == 0:
-            return _ZERO
-        return _trusted(-self.sign, self.radicand)
-
     def __str__(self) -> str:
         if self.sign == 0:
             return "0"
@@ -414,6 +406,12 @@ def _digit_string(q: int) -> str:
 # 10**i for i < 64, built at import: nearly every rendering takes its scale
 # and its rounding bound from here rather than raising 10 to a power per value
 _POW10 = tuple(10**i for i in range(64))
+
+
+def _check_digits(digits: int) -> None:
+    """Raise ValueError unless `digits`, a count of significant digits, is positive."""
+    if digits < 1:
+        raise ValueError(f"digits must be positive, got {digits}")
 
 
 def _render(num: int, den: int, digits: int, negative: bool, root: bool) -> str:
@@ -475,8 +473,7 @@ def _render(num: int, den: int, digits: int, negative: bool, root: bool) -> str:
 def sqrt_to_decimal(value: SignedSqrtRational, digits: int) -> str:
     """Decimal expansion of sign * sqrt(radicand) to `digits` significant
     digits, half-even; bit-exact on every platform (see `_render`)."""
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    _check_digits(digits)
     sign = value.sign
     if sign == 0:
         return "0"
@@ -486,8 +483,7 @@ def sqrt_to_decimal(value: SignedSqrtRational, digits: int) -> str:
 
 def rational_to_decimal(value: Fraction | int, digits: int) -> str:
     """Decimal expansion of a rational to `digits` significant digits, half-even."""
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    _check_digits(digits)
     if not isinstance(value, Fraction):
         value = Fraction(value)
     num = value._numerator

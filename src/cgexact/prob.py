@@ -28,6 +28,7 @@ from fractions import Fraction
 from .angular import DegenerateLabels
 from .exact import (
     _binomial_quotient,
+    _check_digits,
     _fraction,
     _rational,
     _reduced,
@@ -277,8 +278,7 @@ def hypergeom_mgf(params: HypergeomParams, t: Decimal | str | int, digits: int) 
     ArithmeticError when the sum underflows below the smallest normal
     decimal.
     """
-    if digits < 1:
-        raise ValueError(f"digits must be positive, got {digits}")
+    _check_digits(digits)
     try:
         t_dec = t if isinstance(t, Decimal) else Decimal(str(t))
     except InvalidOperation:
@@ -436,7 +436,8 @@ def binomial_limit_tv(
     p must lie in [0, 1], each n3 must be positive and a multiple of
     denominator(p) so that n1 is an exact integer, and n2 must fit inside
     min(n1, n3 - n1) so both laws share the full support [0, n2]; a failed
-    condition raises ValueError.
+    condition raises ValueError, for the first bad n3, before any distance
+    is summed.
 
     For p = u/v each distance is one Fraction: the integer sum over x of
     |C(n1,x) C(n3-n1,n2-x) v^n2 - _pmf_numerator(n2,p,x) C(n3,n2)|, over the
@@ -445,9 +446,9 @@ def binomial_limit_tv(
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    scale = p.denominator**n2
-    binomial_nums = [_pmf_numerator(n2, p, x) for x in range(n2 + 1)]
-    results = []
+    # every n3 is checked before any sum is built, so a bad one late in the
+    # list fails at once
+    laws = []
     for n3 in n3_sequence:
         if n3 <= 0:
             raise ValueError(f"n3 must be positive, got {n3}")
@@ -458,11 +459,15 @@ def binomial_limit_tv(
             raise ValueError(
                 f"n2 = {n2} exceeds min(n1, n3 - n1) = {min(n1, n3 - n1)} at n3 = {n3}"
             )
-        law = HypergeomParams(n1, n2, n3)
-        normaliser = binomial(n3, n2)
+        laws.append(HypergeomParams(n1, n2, n3))
+    scale = p.denominator**n2
+    binomial_nums = [_pmf_numerator(n2, p, x) for x in range(n2 + 1)]
+    results = []
+    for law in laws:
+        normaliser = binomial(law.n3, n2)
         total = sum(
             abs(num * scale - binomial_num * normaliser)
             for num, binomial_num in zip(law._numerators(), binomial_nums)
         )
-        results.append((n3, _fraction(total, 2 * normaliser * scale)))
+        results.append((law.n3, _fraction(total, 2 * normaliser * scale)))
     return results

@@ -55,13 +55,9 @@ class TestHalfInt:
             with pytest.raises(ValueError):
                 HalfInt.parse(text)
 
-    def test_str_and_is_integer(self):
-        three_halves = HalfInt(3)
-        one = HalfInt(2)
-        assert str(three_halves) == "3/2"
+    def test_str(self):
+        assert str(HalfInt(3)) == "3/2"
         assert str(HalfInt(-4)) == "-2"
-        assert not three_halves.is_integer
-        assert one.is_integer
 
     def test_roundtrip_through_text(self):
         for twice in range(-9, 10):
@@ -397,7 +393,7 @@ class TestLadder:
             1, Fraction(1, 2)
         )
         assert len(vector.entries) == 2
-        assert vector.norm_squared() == 1
+        assert sum(v.radicand for v in vector.entries.values()) == 1
         # a projection pair outside the row reads the shared zero
         assert vector.amplitude(HalfInt(1), HalfInt(1)) is SignedSqrtRational.zero()
 
@@ -419,7 +415,8 @@ class TestLadder:
         for ta in range(5):
             for tb in range(5):
                 for steps in range(ta + tb + 1):
-                    assert cg_ladder_stretched(HalfInt(ta), HalfInt(tb), steps).norm_squared() == 1
+                    vector = cg_ladder_stretched(HalfInt(ta), HalfInt(tb), steps)
+                    assert sum(v.radicand for v in vector.entries.values()) == 1
 
     def test_row_amplitudes_hold_the_constructor_invariants(self):
         for ta in range(5):

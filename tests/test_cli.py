@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgexact import angular, prob, verify
+from cgexact import angular, cli, prob, verify
 from cgexact.cli import main
 from cgexact.exact import SignedSqrtRational, sqrt_to_decimal
 from cgexact.prob import HypergeomParams, hypergeom_mgf, hypergeom_pmf
@@ -873,6 +873,30 @@ class TestOutputContract:
         )
         assert code == 2
         assert record["status"] == "error"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cg", "1", "0", "1", "0", "2", "0", "--backend", "all"],
+            ["dist", "convolve", "--trials1", "2000", "--trials2", "2000", "--p", "1/3"],
+            ["limit", "--p", "1/2", "--n2", "8000", "--n3", "400000,800000"],
+            # a law that is invalid too: the digits error is the one reported
+            ["dist", "mean", "--n1", "5", "--n2", "11", "--n3", "10"],
+        ],
+    )
+    def test_invalid_digits_fails_before_any_computation(self, capsys, monkeypatch, argv):
+        def computed(*args):
+            pytest.fail("computed before --digits was checked")
+
+        for name in cli._BACKENDS:
+            monkeypatch.setitem(cli._BACKENDS, name, computed)
+        for name in ("binomial_convolve", "binomial_limit_tv"):
+            monkeypatch.setattr(cli, name, computed)
+        code = main([*argv, "--digits", "0", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["detail"] == "digits must be positive, got 0"
+        assert captured.err == "cgexact: digits must be positive, got 0\n"
 
 
 # Bytes of whole invocations, pinned: sha256 of "<exit code>\n<stdout>\0<stderr>",

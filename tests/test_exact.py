@@ -416,7 +416,9 @@ class TestSignedSqrtRational:
             for coeff in (0, -3, Fraction(4, 6), "-1/2", 0.75)
             for radicand in (0, 2, Fraction(6, 4), "9/12", 1.5)
         ]
-        values += [-v for v in values] + [x * y for x in values[:10] for y in values[:10]]
+        minus_one = SignedSqrtRational(-1, 1)
+        values += [v * minus_one for v in values]
+        values += [x * y for x in values[:10] for y in values[:10]]
         values += [v * SignedSqrtRational(1, f) for v in values[:10] for f in (3, Fraction(2, 8), 0.5)]
         values += [v * SignedSqrtRational.zero() for v in values[:10]]
         for value in values:
@@ -427,7 +429,7 @@ class TestSignedSqrtRational:
             assert (value.sign == 0) == (radicand == 0)
             assert (value.sign == 0) == (value is zero)
             assert value == SignedSqrtRational(value.sign, radicand)
-        assert -zero is zero and -SignedSqrtRational(0, 0) is zero
+        assert zero * minus_one is zero and SignedSqrtRational(0, 0) * minus_one is zero
         # a negative sqrt-scale factor fails in the constructor of its value
         for bad, shown in ((-2, "-2"), (Fraction(-2, 4), "-1/2"), (-0.5, "-1/2")):
             with pytest.raises(ValueError, match=f"nonnegative, got {shown}$"):
@@ -452,7 +454,7 @@ class TestSignedSqrtRational:
         a = SignedSqrtRational(1, Fraction(1, 2))
         b = SignedSqrtRational(-1, Fraction(2, 3))
         assert a * b == SignedSqrtRational(-1, Fraction(1, 3))
-        assert -a == SignedSqrtRational(-1, Fraction(1, 2))
+        assert a * SignedSqrtRational(-1, 1) == SignedSqrtRational(-1, Fraction(1, 2))
         assert a * SignedSqrtRational(1, Fraction(1, 3)) == SignedSqrtRational(1, Fraction(1, 6))
         assert (a * SignedSqrtRational.zero()).is_zero
 

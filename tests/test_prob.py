@@ -1145,6 +1145,15 @@ class TestBinomialLimit:
         ):
             binomial_limit_tv(HALF, 6, [10])
 
+    def test_every_n3_is_checked_before_any_sum(self, monkeypatch):
+        def computed(*args):
+            pytest.fail("a sum was started before every n3 was checked")
+
+        monkeypatch.setattr(prob, "_pmf_numerator", computed)
+        monkeypatch.setattr(prob, "binomial", computed)
+        with pytest.raises(ValueError, match=r"^n3 must be positive, got -4$"):
+            binomial_limit_tv(HALF, 2, [10, 100, -4])
+
     @pytest.mark.parametrize(
         "p, shown", [(Fraction(3, 2), "3/2"), (Fraction(-1, 2), "-1/2"), ("5/4", "5/4")]
     )

@@ -122,7 +122,8 @@ def test_cases_yield_none_or_their_failure_row(monkeypatch):
 
 def test_backend_agreement_fault_injection(monkeypatch):
     # negation of zero is zero, so only genuinely nonzero cases disagree
-    monkeypatch.setattr(angular, "cg_3f2", lambda labels: -angular.cg_racah(labels))
+    minus_one = SignedSqrtRational(-1, 1)
+    monkeypatch.setattr(angular, "cg_3f2", lambda labels: angular.cg_racah(labels) * minus_one)
     report = run_backend_agreement(2)
     assert not report["passed"]
     assert report["failure_count"] > 0
@@ -255,10 +256,12 @@ def _doubled_conditional(monkeypatch):
 
 def _negated_ladder(monkeypatch):
     real = angular.cg_ladder_rows
+    minus_one = SignedSqrtRational(-1, 1)
 
     def negated(a, b):
         for vector in real(a, b):
-            yield angular.ProductStateVector({key: -v for key, v in vector.entries.items()})
+            entries = {key: v * minus_one for key, v in vector.entries.items()}
+            yield angular.ProductStateVector(entries)
 
     monkeypatch.setattr(angular, "cg_ladder_rows", negated)
 
